@@ -210,7 +210,7 @@ class _Sim:
             condition=guard,
             explicit_priority=priority,
             clock=self.clock,
-            detail_privacy=self.world.detail_privacy(),
+            detail_privacy={target: detail.privacy} if detail else None,
             target_owner=detail.owner if detail else None,
             used_ids=self.used_ids,
         )
