@@ -2,16 +2,31 @@
 
 Design rules:
   - A submitted commitment executes immediately only if it conflicts with
-    no active and no already-queued same-scope commitment. Blocking on
-    queued conflicts disables barging: a late reader cannot overtake a
-    waiting writer, which keeps FCFS fair and starvation-free.
+    no active and no already-queued same-scope commitment. At submit, a
+    late reader therefore queues behind a waiting writer.
   - Completion (or failure, or a governance violation) releases the
-    scope; the queue is then drained greedily with select_next until no
-    eligible candidate remains.
-  - FCFS serves by arrival; Priority serves by priority, then arrival,
-    then lexicographic id. Priority acts only at dequeue time.
+    scope; the queue then drains greedily: repeatedly activate the
+    policy's first queued commitment that conflicts with no *active*
+    one. Queued conflicts are not consulted here, so a commitment queued
+    only behind other waiters activates on the next retire of anything,
+    ahead of them (FCFS barging; see ROADMAP item 1). ``select_next`` is
+    the executable specification of one drain step.
+  - FCFS serves by arrival, then queue order; Priority serves by
+    priority, then arrival, then lexicographic id. Priority acts only at
+    dequeue time.
   - The scheduler is a single-threaded state machine; callers serialize
     access. Commitments are immutable values, so snapshots are cheap.
+
+Active and queued commitments are each kept in a scope index, a lock
+table hashed by resource (Gray & Reuter, *Transaction Processing*, ch. 8):
+buckets by content target, by target owner and, for sign-offs, by debtor.
+The index only narrows the candidates to those ``same_scope`` can accept;
+``_blocks`` still decides every pair. Each queued commitment carries its
+count of active blockers, so a retire touches only the retired
+commitment's scopes, and the waiters whose count drops to zero are
+activated in one pass in policy order. Within one drain activations only
+add blockers, so that pass makes exactly the choices of the greedy
+``select_next`` loop.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateId, IllegalState, NonEmptyQueue, UnknownId
-from .model import Commitment, LifecycleState, TransitionEvent, transition
+from .model import Commitment, LifecycleState, TransitionEvent, Verb, transition
 from .relations import classify, conflicts, same_scope
 
 
@@ -58,6 +73,9 @@ class MonitoringReport:
     queue: tuple[str, ...]
 
 
+_EXECUTE = Decision(DecisionKind.EXECUTE)
+
+
 def _blocks(c: Commitment, other: Commitment) -> bool:
     return same_scope(c, other) and conflicts(classify(c, other))
 
@@ -69,7 +87,9 @@ def select_next(
 ) -> Commitment | None:
     """Pick the queued commitment to activate next, or None.
 
-    Only commitments that no longer conflict with the active set are
+    The executable specification of one drain step: ``Scheduler`` no
+    longer calls it, and must activate exactly the commitments a loop of
+    it would pick, in the same order. Only commitments that no longer conflict with the active set are
     eligible. FCFS takes the earliest arrival (queue order breaks ties);
     Priority takes the highest priority, then earliest arrival, then
     smallest id.
@@ -86,16 +106,80 @@ def select_next(
     return min(eligible, key=lambda e: (-e[1].priority, e[1].arrival, e[1].id))[1]
 
 
+def _drop(buckets: dict[str, dict[int, Commitment]], key: str, seq: int) -> None:
+    bucket = buckets[key]
+    del bucket[seq]
+    if not bucket:
+        del buckets[key]
+
+
+class _ScopeIndex:
+    """Commitments keyed by sequence number in buckets per scope key.
+
+    A bucket maps sequence numbers to commitments in insertion order; the
+    numbers come from one monotonic counter, so every bucket is sorted.
+    """
+
+    __slots__ = ("by_target", "by_owner", "signoffs")
+
+    def __init__(self):
+        self.by_target: dict[str, dict[int, Commitment]] = {}
+        self.by_owner: dict[str, dict[int, Commitment]] = {}  # target_owner -> ...
+        self.signoffs: dict[str, dict[int, Commitment]] = {}  # sign-off debtor -> ...
+
+    def add(self, seq: int, c: Commitment) -> None:
+        self.by_target.setdefault(c.content.target, {})[seq] = c
+        if c.target_owner is not None:
+            self.by_owner.setdefault(c.target_owner, {})[seq] = c
+        if c.content.verb is Verb.SIGNOFF:
+            self.signoffs.setdefault(c.debtor, {})[seq] = c
+
+    def remove(self, seq: int, c: Commitment) -> None:
+        _drop(self.by_target, c.content.target, seq)
+        if c.target_owner is not None:
+            _drop(self.by_owner, c.target_owner, seq)
+        if c.content.verb is Verb.SIGNOFF:
+            _drop(self.signoffs, c.debtor, seq)
+
+    def candidates(self, c: Commitment):
+        """Every indexed commitment that may share a scope with ``c``, by seq."""
+        found = self.by_target.get(c.content.target)
+        extra = []
+        if c.content.verb is Verb.SIGNOFF and c.debtor in self.by_owner:
+            extra.append(self.by_owner[c.debtor])
+        if c.target_owner is not None and c.target_owner in self.signoffs:
+            extra.append(self.signoffs[c.target_owner])
+        if not extra:
+            return found.values() if found else ()
+        merged = dict(found) if found else {}
+        for bucket in extra:
+            merged.update(bucket)
+        return [merged[seq] for seq in sorted(merged)]
+
+    def copy(self) -> "_ScopeIndex":
+        twin = _ScopeIndex.__new__(_ScopeIndex)
+        twin.by_target = {k: dict(v) for k, v in self.by_target.items()}
+        twin.by_owner = {k: dict(v) for k, v in self.by_owner.items()}
+        twin.signoffs = {k: dict(v) for k, v in self.signoffs.items()}
+        return twin
+
+
 class Scheduler:
     """Single-threaded commitment admission state machine."""
 
     def __init__(self, policy: Policy = Policy.FCFS):
         self.policy = policy
         self._active: dict[str, Commitment] = {}   # id -> commitment, activation order
-        self._queue: list[Commitment] = []         # waiting, arrival order
+        self._queue: dict[str, Commitment] = {}    # id -> commitment, queue order
         self._clock = 0
         self._seen: set[str] = set()
         self._tally: dict[str, dict[LifecycleState, int]] = {}  # terminal outcomes
+        self._next_seq = 0
+        self._seq: dict[str, int] = {}             # active or queued id -> its seq
+        self._held = _ScopeIndex()                 # active commitments
+        self._waiting = _ScopeIndex()              # queued commitments
+        self._blocked_by: dict[str, int] = {}      # queued id -> active blocker count
+        self._ready: set[str] = set()              # queued ids whose count is 0
 
     @property
     def active(self) -> Mapping[str, Commitment]:
@@ -103,7 +187,7 @@ class Scheduler:
 
     @property
     def queue(self) -> tuple[Commitment, ...]:
-        return tuple(self._queue)
+        return tuple(self._queue.values())
 
     @property
     def clock(self) -> int:
@@ -121,15 +205,22 @@ class Scheduler:
         if c.state is not LifecycleState.PENDING:
             raise IllegalState(f"submit requires a pending commitment, got {c.state.value}")
         self._clock = max(self._clock, c.arrival)
-        blockers = [x.id for x in self._active.values() if _blocks(c, x)]
-        blockers += [x.id for x in self._queue if _blocks(c, x)]
         self._seen.add(c.id)
-        if blockers:
-            self._queue.append(transition(c, TransitionEvent.ENQUEUE))
-            return Decision(DecisionKind.WAIT, tuple(blockers))
-        admitted = transition(c, TransitionEvent.ACTIVATE)
-        self._active[admitted.id] = admitted
-        return Decision(DecisionKind.EXECUTE)
+        held = [x.id for x in self._held.candidates(c) if _blocks(c, x)]
+        waiting = (
+            [x.id for x in self._waiting.candidates(c) if _blocks(c, x)] if self._queue else []
+        )
+        if not (held or waiting):
+            self._activate(transition(c, TransitionEvent.ACTIVATE))
+            return _EXECUTE
+        queued = transition(c, TransitionEvent.ENQUEUE)
+        seq = self._take_seq(queued.id)
+        self._queue[queued.id] = queued
+        self._waiting.add(seq, queued)
+        self._blocked_by[queued.id] = len(held)
+        if not held:
+            self._ready.add(queued.id)
+        return Decision(DecisionKind.WAIT, tuple(held + waiting))
 
     def on_complete(self, cid: str, outcome: LifecycleState) -> list[Commitment]:
         """Retire an active commitment and activate eligible waiters.
@@ -168,38 +259,78 @@ class Scheduler:
             counts.setdefault(c.debtor, {})[LifecycleState.ACTIVE] = (
                 counts.get(c.debtor, {}).get(LifecycleState.ACTIVE, 0) + 1
             )
-        for c in self._queue:
+        for c in self._queue.values():
             counts.setdefault(c.debtor, {})[LifecycleState.WAITING] = (
                 counts.get(c.debtor, {}).get(LifecycleState.WAITING, 0) + 1
             )
         return MonitoringReport(
             by_service=counts,
-            queue=tuple(c.id for c in self._queue),
+            queue=tuple(self._queue),
         )
 
     def clone(self) -> "Scheduler":
         """Independent copy of the current state (values are immutable)."""
-        twin = Scheduler(policy=self.policy)
+        twin = Scheduler.__new__(Scheduler)
+        twin.policy = self.policy
         twin._active = dict(self._active)
-        twin._queue = list(self._queue)
+        twin._queue = dict(self._queue)
         twin._clock = self._clock
         twin._seen = set(self._seen)
         twin._tally = {svc: dict(states) for svc, states in self._tally.items()}
+        twin._next_seq = self._next_seq
+        twin._seq = dict(self._seq)
+        twin._held = self._held.copy()
+        twin._waiting = self._waiting.copy()
+        twin._blocked_by = dict(self._blocked_by)
+        twin._ready = set(self._ready)
         return twin
+
+    def _take_seq(self, cid: str) -> int:
+        seq = self._seq[cid] = self._next_seq
+        self._next_seq += 1
+        return seq
+
+    def _activate(self, c: Commitment) -> None:
+        """Make ``c`` active and count it against the waiters it blocks."""
+        self._active[c.id] = c
+        self._held.add(self._take_seq(c.id), c)
+        if self._queue:
+            blocked_by = self._blocked_by
+            for q in self._waiting.candidates(c):
+                if _blocks(q, c):
+                    blocked_by[q.id] += 1
 
     def _retire(self, cid: str, event: TransitionEvent) -> list[Commitment]:
         if cid not in self._active:
             raise UnknownId(f"no active commitment {cid!r}")
         retired = transition(self._active.pop(cid), event)
+        self._held.remove(self._seq.pop(cid), retired)
         per_service = self._tally.setdefault(retired.debtor, {})
         per_service[retired.state] = per_service.get(retired.state, 0) + 1
+        if not self._queue:
+            return []
+        blocked_by = self._blocked_by
+        for q in self._waiting.candidates(retired):
+            if _blocks(q, retired):
+                blocked_by[q.id] -= 1
+                if not blocked_by[q.id]:
+                    self._ready.add(q.id)
+        if not self._ready:
+            return []
+        ready, self._ready = self._ready, set()
+        queue, seqs = self._queue, self._seq
+        if self.policy is Policy.FCFS:
+            order = sorted(ready, key=lambda i: (queue[i].arrival, seqs[i]))
+        else:
+            order = sorted(ready, key=lambda i: (-queue[i].priority, queue[i].arrival, i))
         activated: list[Commitment] = []
-        while True:
-            chosen = select_next(self._queue, self._active.values(), self.policy)
-            if chosen is None:
-                break
-            self._queue.remove(chosen)
+        for qid in order:
+            if blocked_by[qid]:
+                continue  # an earlier activation in this pass blocks it again
+            chosen = queue.pop(qid)
+            self._waiting.remove(seqs.pop(qid), chosen)
+            del blocked_by[qid]
             admitted = transition(chosen, TransitionEvent.ACTIVATE)
-            self._active[admitted.id] = admitted
+            self._activate(admitted)
             activated.append(admitted)
         return activated

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from commitsched.equivalence import run_grid
 from commitsched.errors import InstanceTooLarge
 from commitsched.oracle import (
     MiniCommitment,
@@ -114,6 +115,18 @@ def test_exploration_covers_any_dequeue_order():
     }
     assert ("c1", "c2", "c3") in firsts
     assert ("c1", "c3", "c2") in firsts
+
+
+# -- scheduler-vs-oracle grid ---------------------------------------------------------
+
+def test_grid_of_three_is_clean():
+    # Every instance of up to 3 commitments over 2 targets and 2 priorities,
+    # under both policies and every completion order.
+    report = run_grid(3)
+    assert report.mismatches == []
+    assert report.unsafe_states == 0
+    assert report.undrained == 0
+    assert (report.combinations, report.instances) == (584, 3584)
 
 
 # -- bounds -------------------------------------------------------------------------
