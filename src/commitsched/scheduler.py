@@ -87,12 +87,12 @@ def select_next(
 ) -> Commitment | None:
     """Pick the queued commitment to activate next, or None.
 
-    The executable specification of one drain step: ``Scheduler`` no
-    longer calls it, and must activate exactly the commitments a loop of
-    it would pick, in the same order. Only commitments that no longer conflict with the active set are
-    eligible. FCFS takes the earliest arrival (queue order breaks ties);
-    Priority takes the highest priority, then earliest arrival, then
-    smallest id.
+    The executable specification of one drain step. ``Scheduler`` does
+    not call it: its one-pass drain must activate exactly what a loop of
+    it would pick, in the same order. Only commitments that no longer
+    conflict with the active set are eligible. FCFS takes the earliest
+    arrival (queue order breaks ties); Priority takes the highest
+    priority, then earliest arrival, then smallest id.
     """
     actives = list(active)
     eligible = [

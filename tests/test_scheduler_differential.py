@@ -14,7 +14,14 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from commitsched.model import AccessClass, LifecycleState, TransitionEvent, Verb, transition
+from commitsched.model import (
+    ACCESS_FOR_VERB,
+    AccessClass,
+    LifecycleState,
+    TransitionEvent,
+    Verb,
+    transition,
+)
 from commitsched.scheduler import (
     Decision,
     DecisionKind,
@@ -30,13 +37,6 @@ from conftest import make_commitment
 SERVICES = ("svcA", "svcB")
 # "svcA" is also a detail key: a post on it shares the target of svcA's sign-off.
 TARGETS = ("d", "e", "svcA")
-ACCESS = {
-    Verb.COLLECT: AccessClass.READER,
-    Verb.REVEAL: AccessClass.READER,
-    Verb.POST: AccessClass.WRITER,
-    Verb.TAMPER: AccessClass.WRITER,
-    Verb.SIGNOFF: AccessClass.WRITER,
-}
 RETIRE = {
     "complete": TransitionEvent.COMPLETE,
     "fail": TransitionEvent.FAIL,
@@ -88,11 +88,11 @@ class Pairwise:
 
 @st.composite
 def commitments(draw, cid: str):
-    verb = draw(st.sampled_from(list(ACCESS)))
+    verb = draw(st.sampled_from(list(Verb)))
     debtor = draw(st.sampled_from(SERVICES))
     return make_commitment(
         cid,
-        ACCESS[verb],
+        ACCESS_FOR_VERB[verb],
         target=debtor if verb is Verb.SIGNOFF else draw(st.sampled_from(TARGETS)),
         priority=draw(st.sampled_from([0, 10])),
         arrival=draw(st.integers(0, 2)),  # equal and non-monotonic arrivals
