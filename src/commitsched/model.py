@@ -10,12 +10,14 @@ machine, and the two derivations every commitment carries:
                    and 0 otherwise (private outranks public).
 
 All types are frozen dataclasses; ``transition`` returns a new value and
-never mutates its argument.
+never mutates its argument. New versions of a value are made by
+``_evolve``, which copies the instance dictionary instead of running
+``__init__`` again (every field of the input has been validated already).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Mapping
 
@@ -171,6 +173,22 @@ class Commitment:
     target_owner: str | None = None
 
 
+def _evolve(obj, **changes):
+    """Copy of the frozen dataclass ``obj`` with ``changes`` applied.
+
+    Equal to ``dataclasses.replace(obj, **changes)`` for a class without
+    ``__post_init__``, but skips ``__init__``: the instance dictionary is
+    copied as is, derived fields included, so a caller that changes a
+    field some derived field depends on must pass that one too. ``obj``
+    is never modified.
+    """
+    twin = object.__new__(obj.__class__)
+    own = twin.__dict__
+    own.update(obj.__dict__)
+    own.update(changes)
+    return twin
+
+
 def derive_access_class(content: ContentAction) -> AccessClass:
     """Reader/writer classification of a content action. Total over verbs."""
     return ACCESS_FOR_VERB[content.verb]
@@ -256,4 +274,4 @@ def transition(c: Commitment, event: TransitionEvent) -> Commitment:
     nxt = _LEGAL_TRANSITIONS.get((c.state, event))
     if nxt is None:
         raise IllegalTransition(c.state, event)
-    return replace(c, state=nxt)
+    return _evolve(c, state=nxt)

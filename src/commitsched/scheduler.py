@@ -75,6 +75,12 @@ class MonitoringReport:
 
 _EXECUTE = Decision(DecisionKind.EXECUTE)
 
+# The lifecycle event that retires an active commitment with each outcome.
+_RETIRE_EVENT: Mapping[LifecycleState, TransitionEvent] = {
+    LifecycleState.COMPLETED: TransitionEvent.COMPLETE,
+    LifecycleState.FAILED: TransitionEvent.FAIL,
+}
+
 
 def _blocks(c: Commitment, other: Commitment) -> bool:
     return same_scope(c, other) and conflicts(classify(c, other))
@@ -228,13 +234,10 @@ class Scheduler:
         ``outcome`` is Completed or Failed; either releases the scope.
         Returns the newly activated commitments in activation order.
         """
-        events = {
-            LifecycleState.COMPLETED: TransitionEvent.COMPLETE,
-            LifecycleState.FAILED: TransitionEvent.FAIL,
-        }
-        if outcome not in events:
+        event = _RETIRE_EVENT.get(outcome)
+        if event is None:
             raise ValueError(f"outcome must be completed or failed, got {outcome}")
-        return self._retire(cid, events[outcome])
+        return self._retire(cid, event)
 
     def on_violation(self, cid: str) -> list[Commitment]:
         """Retire an active commitment whose action breached a responsibility.

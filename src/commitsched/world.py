@@ -7,6 +7,16 @@ either return an updated world or a ``Violation`` naming the breached
 responsibility. A violation never changes the world: callers keep their
 input value, so atomicity is structural.
 
+Every world value also carries two derived indexes, invisible to
+equality and ``repr``: the networks of each member service, and the
+collection records of each detail key in approval order. The invariant
+is that they are exactly what a scan of ``members`` and ``collections``
+would give. The constructor builds them; each ``with_*``/``without_*``
+helper hands them on to the new value, or a copy with its own change
+applied, so no index is ever mutated once a value holds it (a persistent
+structure in the sense of Driscoll, Sarnak, Sleator & Tarjan, 1989).
+Assignments are few and stay scanned.
+
 Responsibilities enforced here:
   resp1  collecting a detail needs a valid purpose and network membership
   resp2  posted content must be true (and the poster a member)
@@ -18,7 +28,7 @@ Responsibilities enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -33,7 +43,7 @@ from .errors import (
     UnknownNetwork,
     UnknownService,
 )
-from .model import Privacy, Responsibility
+from .model import Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
 
@@ -96,6 +106,21 @@ class WorldState:
     assignments: tuple[Assignment, ...] = ()
     purposes: dict[str, frozenset[str]] = field(default_factory=dict)
     reveal_ttl: int = DEFAULT_REVEAL_TTL
+    # Derived from ``members`` and ``collections``; see the module docstring.
+    _networks_of: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+    _records_of: dict[str, tuple[CollectionRecord, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        networks_of: dict[str, frozenset[str]] = {}
+        for service, network in self.members:
+            networks_of[service] = networks_of.get(service, frozenset()) | {network}
+        records_of: dict[str, tuple[CollectionRecord, ...]] = {}
+        for r in self.collections:
+            records_of[r.detail_key] = records_of.get(r.detail_key, ()) + (r,)
+        object.__setattr__(self, "_networks_of", networks_of)
+        object.__setattr__(self, "_records_of", records_of)
 
     # -- queries ----------------------------------------------------------
 
@@ -103,16 +128,16 @@ class WorldState:
         return (service, network) in self.members
 
     def member_networks(self, service: str) -> tuple[str, ...]:
-        return tuple(sorted(n for s, n in self.members if s == service))
+        return tuple(sorted(self._networks_of.get(service, ())))
 
     def has_any_membership(self, service: str) -> bool:
-        return any(s == service for s, _ in self.members)
+        return service in self._networks_of
 
     def detail_privacy(self) -> dict[str, Privacy]:
         return {key: d.privacy for key, d in self.details.items()}
 
     def records_for(self, detail_key: str) -> tuple[CollectionRecord, ...]:
-        return tuple(r for r in self.collections if r.detail_key == detail_key)
+        return self._records_of.get(detail_key, ())
 
     def assignment(self, assignment_id: str) -> Assignment:
         for a in self.assignments:
@@ -129,24 +154,34 @@ class WorldState:
     # -- updates (copy-on-write) -------------------------------------------
 
     def with_network(self, name: str) -> "WorldState":
-        return replace(self, networks=self.networks | {name})
+        return _evolve(self, networks=self.networks | {name})
 
     def with_purpose(self, network: str, token: str) -> "WorldState":
         if network not in self.networks:
             raise UnknownNetwork(f"no network {network!r}")
         current = self.purposes.get(network, frozenset())
-        return replace(self, purposes={**self.purposes, network: current | {token}})
+        return _evolve(self, purposes={**self.purposes, network: current | {token}})
 
     def with_member(self, service: str, network: str) -> "WorldState":
         if network not in self.networks:
             raise UnknownNetwork(f"no network {network!r}")
         if self.is_member(service, network):
             raise AlreadyMember(f"{service!r} is already a member of {network!r}")
-        return replace(self, members=self.members | {(service, network)})
+        joined = self._networks_of.get(service, frozenset()) | {network}
+        return _evolve(
+            self,
+            members=self.members | {(service, network)},
+            _networks_of={**self._networks_of, service: joined},
+        )
 
     def without_memberships(self, service: str) -> "WorldState":
-        kept = frozenset(pair for pair in self.members if pair[0] != service)
-        return replace(self, members=kept)
+        networks_of = dict(self._networks_of)
+        left = networks_of.pop(service, ())
+        return _evolve(
+            self,
+            members=self.members - {(service, n) for n in left},
+            _networks_of=networks_of,
+        )
 
     def with_detail(self, detail: Detail) -> "WorldState":
         if detail.key in self.details:
@@ -157,24 +192,29 @@ class WorldState:
             raise OwnerNotMember(
                 f"owner {detail.owner!r} is not a member of {detail.network!r}"
             )
-        return replace(self, details={**self.details, detail.key: detail})
+        return _evolve(self, details={**self.details, detail.key: detail})
 
     def with_detail_value(self, key: str, value: str, veracity: bool) -> "WorldState":
         d = self.details.get(key)
         if d is None:
             raise UnknownDetail(f"no detail {key!r}")
-        updated = replace(d, value=value, veracity=veracity)
-        return replace(self, details={**self.details, key: updated})
+        updated = _evolve(d, value=value, veracity=veracity)
+        return _evolve(self, details={**self.details, key: updated})
 
     def with_collection(self, record: CollectionRecord) -> "WorldState":
-        if record.detail_key not in self.details:
-            raise UnknownDetail(f"no detail {record.detail_key!r}")
-        return replace(self, collections=self.collections + (record,))
+        key = record.detail_key
+        if key not in self.details:
+            raise UnknownDetail(f"no detail {key!r}")
+        return _evolve(
+            self,
+            collections=self.collections + (record,),
+            _records_of={**self._records_of, key: self.records_for(key) + (record,)},
+        )
 
     def with_assignment(self, assignment: Assignment) -> "WorldState":
         if any(a.id == assignment.id for a in self.assignments):
             raise DuplicateAssignment(f"assignment {assignment.id!r} already exists")
-        return replace(self, assignments=self.assignments + (assignment,))
+        return _evolve(self, assignments=self.assignments + (assignment,))
 
     def with_finished_assignment(
         self, assignment_id: str, outcome: AssignmentStatus
@@ -186,8 +226,8 @@ class WorldState:
             raise IllegalStatusChange(
                 f"assignment {assignment_id!r} already {current.status.value}"
             )
-        finished = replace(current, status=outcome)
-        return replace(
+        finished = _evolve(current, status=outcome)
+        return _evolve(
             self,
             assignments=tuple(
                 finished if a.id == assignment_id else a for a in self.assignments
@@ -197,7 +237,7 @@ class WorldState:
     def with_ttl(self, ticks: int) -> "WorldState":
         if ticks < 0:
             raise ValueError("reveal ttl must be >= 0")
-        return replace(self, reveal_ttl=ticks)
+        return _evolve(self, reveal_ttl=ticks)
 
 
 # -- responsibility checks --------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -254,7 +255,15 @@ def test_lifecycle_never_leaves_legal_table(events):
                 transition(c, event)
             assert c.state is before
         else:
-            c = transition(c, event)
+            before = c.state
+            nxt = transition(c, event)
+            # The copy-free step must give the value dataclasses.replace would.
+            reference = dataclasses.replace(c, state=expected)
+            assert nxt == reference and hash(nxt) == hash(reference)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                nxt.state = before
+            assert c.state is before
+            c = nxt
             assert c.state is expected
 
 

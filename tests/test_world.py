@@ -9,6 +9,7 @@ from commitsched.errors import (
     AlreadyMember,
     DuplicateAssignment,
     DuplicateDetail,
+    EngineError,
     IllegalStatusChange,
     NoCollectionRecord,
     OwnerNotMember,
@@ -21,6 +22,7 @@ from commitsched.model import Privacy, Responsibility
 from commitsched.world import (
     Assignment,
     AssignmentStatus,
+    CollectionRecord,
     Detail,
     Violation,
     WorldState,
@@ -282,6 +284,19 @@ def test_double_membership_rejected(small_world):
 
 # -- violation atomicity -----------------------------------------------------------------
 
+def _rebuilt(w: WorldState) -> WorldState:
+    """A world constructed directly from the public fields of ``w``."""
+    return WorldState(
+        networks=w.networks,
+        members=w.members,
+        details=dict(w.details),
+        collections=w.collections,
+        assignments=w.assignments,
+        purposes=dict(w.purposes),
+        reveal_ttl=w.reveal_ttl,
+    )
+
+
 def test_violations_leave_world_untouched(small_world):
     w = small_world.with_assignment(Assignment("a1", "svcA"))
     cases = [
@@ -295,16 +310,151 @@ def test_violations_leave_world_untouched(small_world):
         lambda: exec_signoff(w, "svcA", t=0),
         lambda: exec_reveal(w, "svcA", "vault", "outsider", t=0),
     ]
-    snapshot = WorldState(
-        networks=w.networks,
-        members=w.members,
-        details=dict(w.details),
-        collections=w.collections,
-        assignments=w.assignments,
-        purposes=dict(w.purposes),
-        reveal_ttl=w.reveal_ttl,
-    )
+    snapshot = _rebuilt(w)
     for case in cases:
         result = case()
         assert isinstance(result, Violation)
         assert w == snapshot
+
+
+# -- derived indexes ---------------------------------------------------------------------
+
+_SERVICES = ("svcA", "svcB", "svcC", "outsider")
+_NETWORKS = ("fb", "li")
+_KEYS = ("email", "vault", "story")
+_ticks = st.integers(0, 8)
+
+_steps = st.one_of(
+    st.tuples(st.just("member"), st.sampled_from(_SERVICES), st.sampled_from(_NETWORKS)),
+    st.tuples(st.just("leave"), st.sampled_from(_SERVICES)),
+    st.tuples(
+        st.just("detail"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES),
+        st.sampled_from(_NETWORKS), st.sampled_from(list(Privacy)),
+    ),
+    st.tuples(
+        st.just("record"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES), _ticks
+    ),
+    st.tuples(st.just("assignment"), st.sampled_from(("a1", "a2")), st.sampled_from(_SERVICES)),
+    st.tuples(
+        st.just("collect"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS),
+        st.sampled_from(("analytics", "spam")), _ticks,
+    ),
+    st.tuples(
+        st.just("post"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS),
+        st.booleans(), st.sampled_from(_NETWORKS), _ticks,
+    ),
+    st.tuples(st.just("tamper"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS), _ticks),
+    st.tuples(st.just("signoff"), st.sampled_from(_SERVICES), _ticks),
+    st.tuples(
+        st.just("reveal"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES), _ticks
+    ),
+)
+
+
+def _apply(w: WorldState, step):
+    """The world (or Violation, or reveal result) one step returns."""
+    op, *args = step
+    if op == "member":
+        return w.with_member(*args)
+    if op == "leave":
+        return w.without_memberships(*args)
+    if op == "detail":
+        key, owner, network, privacy = args
+        return w.with_detail(Detail(key, owner, network, privacy, f"{key}0"))
+    if op == "record":
+        key, collector, t = args
+        return w.with_collection(CollectionRecord(key, collector, "analytics", t, "v"))
+    if op == "assignment":
+        return w.with_assignment(Assignment(*args))
+    if op == "collect":
+        result = exec_collect(w, *args)
+        return result if isinstance(result, Violation) else result[0]
+    if op == "post":
+        poster, key, veracity, network, t = args
+        return exec_post(w, poster, key, veracity, t, network=network)
+    if op == "tamper":
+        return exec_tamper_guard(w, *args)
+    if op == "signoff":
+        result = exec_signoff(w, *args)
+        return result if isinstance(result, Violation) else result[0]
+    key, requester, t = args
+    return exec_reveal(w, "svcA", key, requester, t)
+
+
+def _must_breach(w: WorldState, step) -> bool:
+    """True for the steps whose input alone shows a breached responsibility."""
+    op, *args = step
+    if op == "collect":
+        _, key, purpose, _ = args
+        return key in w.details and purpose == "spam"
+    if op == "post":
+        return not args[2]
+    if op == "tamper":
+        key = args[1]
+        return key in w.details and any(r.detail_key == key for r in w.collections)
+    if op == "signoff":
+        svc = args[0]
+        return any(s == svc for s, _ in w.members) and any(
+            a.service == svc for a in w.assignments
+        )
+    if op == "reveal":
+        key, requester, _ = args
+        d = w.details.get(key)
+        return (
+            d is not None
+            and d.privacy is Privacy.PRIVATE
+            and not w.is_member(requester, d.network)
+        )
+    return False
+
+
+def _answers(w: WorldState):
+    """What the indexed queries say about every service and detail key."""
+    return (
+        [(w.has_any_membership(s), w.member_networks(s)) for s in _SERVICES],
+        [w.records_for(k) for k in _KEYS],
+    )
+
+
+def _scanned(w: WorldState):
+    """The same answers, from a direct scan of ``members`` and ``collections``."""
+    return (
+        [
+            (
+                any(s == svc for s, _ in w.members),
+                tuple(sorted(n for s, n in w.members if s == svc)),
+            )
+            for svc in _SERVICES
+        ],
+        [tuple(r for r in w.collections if r.detail_key == k) for k in _KEYS],
+    )
+
+
+def _frozen_view(w: WorldState) -> dict:
+    """Every attribute of ``w``, derived indexes included, with dicts copied."""
+    return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(w).items()}
+
+
+@given(steps=st.lists(_steps, max_size=30))
+def test_indexes_match_scans_after_every_step(steps):
+    w = WorldState().with_network("fb").with_network("li")
+    w = w.with_purpose("fb", "analytics").with_purpose("li", "analytics")
+    w = w.with_member("svcA", "fb").with_member("svcB", "fb").with_member("svcC", "li")
+    w = w.with_detail(Detail("email", "svcA", "fb", Privacy.PUBLIC, "addr0"))
+    w = w.with_detail(Detail("vault", "svcA", "fb", Privacy.PRIVATE, "secret0"))
+    for step in steps:
+        before = _frozen_view(w)
+        try:
+            result = _apply(w, step)
+        except EngineError:
+            result = None
+        # No step, breach or not, changes the value it was given.
+        assert _frozen_view(w) == before
+        if _must_breach(w, step):
+            assert isinstance(result, Violation)
+        if isinstance(result, WorldState):
+            w = result
+        assert _answers(w) == _scanned(w)
+        rebuilt = _rebuilt(w)
+        assert rebuilt == w
+        assert _answers(rebuilt) == _answers(w)
