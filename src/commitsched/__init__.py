@@ -8,97 +8,4 @@ drives everything on a logical clock and emits canonical traces; an
 independent brute-force oracle certifies the scheduler.
 """
 
-from .errors import EngineError
-from .model import (
-    AccessClass,
-    Commitment,
-    CommitmentKind,
-    ContentAction,
-    LifecycleState,
-    Privacy,
-    Responsibility,
-    TransitionEvent,
-    Verb,
-    derive_access_class,
-    derive_priority,
-    new_commitment,
-    transition,
-)
-from .relations import Relation, classify, conflicts, same_scope
-from .scheduler import (
-    Decision,
-    DecisionKind,
-    MonitoringReport,
-    Policy,
-    Scheduler,
-    select_next,
-)
-from .scenario import Scenario, parse
-from .simulator import RunResult, four_network_demo, register, run
-from .trace import EventKind, ScheduleEvent, Trace
-from .world import (
-    Assignment,
-    AssignmentStatus,
-    CollectionRecord,
-    Detail,
-    Violation,
-    WorldState,
-    exec_collect,
-    exec_post,
-    exec_reveal,
-    exec_signoff,
-    exec_tamper_guard,
-    status,
-    valid,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AccessClass",
-    "Assignment",
-    "AssignmentStatus",
-    "CollectionRecord",
-    "Commitment",
-    "CommitmentKind",
-    "ContentAction",
-    "Decision",
-    "DecisionKind",
-    "Detail",
-    "EngineError",
-    "EventKind",
-    "LifecycleState",
-    "MonitoringReport",
-    "Policy",
-    "Privacy",
-    "Relation",
-    "Responsibility",
-    "RunResult",
-    "Scenario",
-    "ScheduleEvent",
-    "Scheduler",
-    "Trace",
-    "TransitionEvent",
-    "Verb",
-    "Violation",
-    "WorldState",
-    "classify",
-    "conflicts",
-    "derive_access_class",
-    "derive_priority",
-    "exec_collect",
-    "exec_post",
-    "exec_reveal",
-    "exec_signoff",
-    "exec_tamper_guard",
-    "four_network_demo",
-    "new_commitment",
-    "parse",
-    "register",
-    "run",
-    "same_scope",
-    "select_next",
-    "status",
-    "transition",
-    "valid",
-]
+from . import errors, model, relations, scheduler, scenario, simulator, trace, world

@@ -1,20 +1,24 @@
 """Exhaustive scheduler-vs-oracle cross-check.
 
 Enumerates every small instance over a fixed grid (access class, target,
-priority per slot), replays each one through both the real scheduler and
-the independent reference, and walks every completion order. Decisions,
-blocker lists and activation orders must agree everywhere; the oracle's
-state exploration additionally certifies that no reachable state is
-unsafe and every run drains.
+priority per slot) and submits each one to both the real scheduler and
+the independent reference. The reference alone then walks every
+completion order; each order is replayed on a fresh scheduler. Decisions,
+blocker lists and activation orders must agree everywhere, and every
+replay must end with an empty queue; the oracle's state exploration
+additionally certifies that no reachable state is unsafe and every run
+drains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator
 
 from .model import (
     AccessClass,
+    Commitment,
     CommitmentKind,
     ContentAction,
     LifecycleState,
@@ -36,7 +40,7 @@ _VERB_FOR_ACCESS = {
 }
 
 
-def _real_commitment(mini: MiniCommitment) -> "Commitment":
+def _real_commitment(mini: MiniCommitment) -> Commitment:
     verb = _VERB_FOR_ACCESS[
         AccessClass.READER if mini.access == "reader" else AccessClass.WRITER
     ]
@@ -71,57 +75,76 @@ class GridReport:
         return not self.mismatches and not self.unsafe_states and not self.undrained
 
 
+# One completion order: (completed id, ids the oracle activates) per step.
+CompletionPath = tuple[tuple[str, list[str]], ...]
+
+
 def _check_combination(
     minis: tuple[MiniCommitment, ...], policy: Policy, report: GridReport
 ) -> None:
-    label = ",".join(f"{m.id}:{m.access[0].upper()}({m.target})p{m.priority}" for m in minis)
+    tag = f"[{policy.value}] " + ",".join(
+        f"{m.id}:{m.access[0].upper()}({m.target})p{m.priority}" for m in minis
+    )
+    commitments = [_real_commitment(mini) for mini in minis]
     ref = ReferenceScheduler(policy.value)
     sched = Scheduler(policy)
-    for mini in minis:
+    for mini, c in zip(minis, commitments):
         expected = ref.submit(mini)
-        got = sched.submit(_real_commitment(mini))
+        got = sched.submit(c)
         got_kind = "execute" if got.kind is DecisionKind.EXECUTE else "wait"
         if (got_kind, got.blockers) != (expected.kind, expected.blockers):
             report.mismatches.append(
-                f"[{policy.value}] {label}: submit {mini.id}: "
+                f"{tag}: submit {mini.id}: "
                 f"oracle {expected.kind}{expected.blockers} vs "
                 f"scheduler {got_kind}{got.blockers}"
             )
             return
-    _dfs_completions(ref, sched, policy, label, report)
+    failed: CompletionPath | None = None
+    for path in _completion_paths(ref):
+        if failed is not None and path[: len(failed)] == failed:
+            continue  # this prefix has been reported once already
+        failed = _replay(path, commitments, policy, tag, report)
 
 
-def _dfs_completions(
-    ref: ReferenceScheduler,
-    sched: Scheduler,
-    policy: Policy,
-    label: str,
-    report: GridReport,
-) -> None:
+def _completion_paths(
+    ref: ReferenceScheduler, prefix: CompletionPath = ()
+) -> Iterator[CompletionPath]:
+    """Every order in which the oracle's active commitments can complete."""
     active_ids = sorted(a.id for a in ref.active)
     if not active_ids:
-        report.instances += 1
-        if sched.queue:
-            report.mismatches.append(f"[{policy.value}] {label}: scheduler left a queue")
+        yield prefix
         return
     for cid in active_ids:
-        ref2 = ref.copy()
-        sched2 = sched.clone()
-        expected = ref2.complete(cid)
+        nxt = ref.copy()
+        yield from _completion_paths(nxt, prefix + ((cid, nxt.complete(cid)),))
+
+
+def _replay(
+    path: CompletionPath,
+    commitments: list[Commitment],
+    policy: Policy,
+    tag: str,
+    report: GridReport,
+) -> CompletionPath | None:
+    """Run one completion order on a fresh scheduler; the failing prefix, if any."""
+    sched = Scheduler(policy)
+    for c in commitments:
+        sched.submit(c)
+    for i, (cid, expected) in enumerate(path):
         try:
-            got = [c.id for c in sched2.on_complete(cid, LifecycleState.COMPLETED)]
+            got = [c.id for c in sched.on_complete(cid, LifecycleState.COMPLETED)]
         except Exception as exc:  # divergence shows up as a scheduler error
-            report.mismatches.append(
-                f"[{policy.value}] {label}: complete {cid}: scheduler raised {exc!r}"
-            )
-            continue
+            report.mismatches.append(f"{tag}: complete {cid}: scheduler raised {exc!r}")
+            return path[: i + 1]
         if got != expected:
             report.mismatches.append(
-                f"[{policy.value}] {label}: complete {cid}: "
-                f"oracle activates {expected} vs scheduler {got}"
+                f"{tag}: complete {cid}: oracle activates {expected} vs scheduler {got}"
             )
-            continue
-        _dfs_completions(ref2, sched2, policy, label, report)
+            return path[: i + 1]
+    report.instances += 1
+    if sched.queue:
+        report.mismatches.append(f"{tag}: scheduler left a queue")
+    return None
 
 
 def run_grid(

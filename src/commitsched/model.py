@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Mapping
+from typing import Mapping
 
 from .errors import (
-    DuplicateId,
     IllegalTransition,
     InvalidContent,
     MismatchedResponsibility,
@@ -169,7 +168,6 @@ class Commitment:
     priority: int
     arrival: int
     state: LifecycleState = LifecycleState.PENDING
-    condition: str | None = None
     target_owner: str | None = None
 
 
@@ -225,12 +223,10 @@ def new_commitment(
     creditor: str,
     content: ContentAction,
     *,
-    condition: str | None = None,
     explicit_priority: int | None = None,
     clock: int = 0,
     detail_privacy: Mapping[str, Privacy] | None = None,
     target_owner: str | None = None,
-    used_ids: Container[str] = (),
 ) -> Commitment:
     """Build a Pending commitment, deriving access class and priority.
 
@@ -238,8 +234,6 @@ def new_commitment(
     post=resp2, tamper=resp3, signoff=resp4, reveal=resp5) and a sign-off
     must target the debtor itself.
     """
-    if cid in used_ids:
-        raise DuplicateId(f"commitment id {cid!r} already used")
     expected = RESPONSIBILITY_FOR_VERB[content.verb]
     if responsibility is not expected:
         raise MismatchedResponsibility(
@@ -260,7 +254,6 @@ def new_commitment(
         priority=derive_priority(content, explicit_priority, detail_privacy),
         arrival=clock,
         state=LifecycleState.PENDING,
-        condition=condition,
         target_owner=target_owner,
     )
 

@@ -9,8 +9,9 @@ Design rules:
     policy's first queued commitment that conflicts with no *active*
     one. Queued conflicts are not consulted here, so a commitment queued
     only behind other waiters activates on the next retire of anything,
-    ahead of them (FCFS barging; see ROADMAP item 1). ``select_next`` is
-    the executable specification of one drain step.
+    ahead of them (FCFS barging; see ROADMAP item 1). ``Pairwise`` in
+    ``tests/test_scheduler_differential.py`` restates this rule as a
+    loop of single drain steps, checked against this class.
   - FCFS serves by arrival, then queue order; Priority serves by
     priority, then arrival, then lexicographic id. Priority acts only at
     dequeue time.
@@ -25,8 +26,8 @@ The index only narrows the candidates to those ``same_scope`` can accept;
 count of active blockers, so a retire touches only the retired
 commitment's scopes, and the waiters whose count drops to zero are
 activated in one pass in policy order. Within one drain activations only
-add blockers, so that pass makes exactly the choices of the greedy
-``select_next`` loop.
+add blockers, so that pass makes exactly the choices of the greedy loop
+above.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import DuplicateId, IllegalState, NonEmptyQueue, UnknownId
 from .model import Commitment, LifecycleState, TransitionEvent, Verb, transition
@@ -86,32 +87,6 @@ def _blocks(c: Commitment, other: Commitment) -> bool:
     return same_scope(c, other) and conflicts(classify(c, other))
 
 
-def select_next(
-    queue: Sequence[Commitment],
-    active: Iterable[Commitment],
-    policy: Policy,
-) -> Commitment | None:
-    """Pick the queued commitment to activate next, or None.
-
-    The executable specification of one drain step. ``Scheduler`` does
-    not call it: its one-pass drain must activate exactly what a loop of
-    it would pick, in the same order. Only commitments that no longer
-    conflict with the active set are eligible. FCFS takes the earliest
-    arrival (queue order breaks ties); Priority takes the highest
-    priority, then earliest arrival, then smallest id.
-    """
-    actives = list(active)
-    eligible = [
-        (idx, c) for idx, c in enumerate(queue)
-        if not any(_blocks(c, a) for a in actives)
-    ]
-    if not eligible:
-        return None
-    if policy is Policy.FCFS:
-        return min(eligible, key=lambda e: (e[1].arrival, e[0]))[1]
-    return min(eligible, key=lambda e: (-e[1].priority, e[1].arrival, e[1].id))[1]
-
-
 def _drop(buckets: dict[str, dict[int, Commitment]], key: str, seq: int) -> None:
     bucket = buckets[key]
     del bucket[seq]
@@ -161,13 +136,6 @@ class _ScopeIndex:
         for bucket in extra:
             merged.update(bucket)
         return [merged[seq] for seq in sorted(merged)]
-
-    def copy(self) -> "_ScopeIndex":
-        twin = _ScopeIndex.__new__(_ScopeIndex)
-        twin.by_target = {k: dict(v) for k, v in self.by_target.items()}
-        twin.by_owner = {k: dict(v) for k, v in self.by_owner.items()}
-        twin.signoffs = {k: dict(v) for k, v in self.signoffs.items()}
-        return twin
 
 
 class Scheduler:
@@ -270,23 +238,6 @@ class Scheduler:
             by_service=counts,
             queue=tuple(self._queue),
         )
-
-    def clone(self) -> "Scheduler":
-        """Independent copy of the current state (values are immutable)."""
-        twin = Scheduler.__new__(Scheduler)
-        twin.policy = self.policy
-        twin._active = dict(self._active)
-        twin._queue = dict(self._queue)
-        twin._clock = self._clock
-        twin._seen = set(self._seen)
-        twin._tally = {svc: dict(states) for svc, states in self._tally.items()}
-        twin._next_seq = self._next_seq
-        twin._seq = dict(self._seq)
-        twin._held = self._held.copy()
-        twin._waiting = self._waiting.copy()
-        twin._blocked_by = dict(self._blocked_by)
-        twin._ready = set(self._ready)
-        return twin
 
     def _take_seq(self, cid: str) -> int:
         seq = self._seq[cid] = self._next_seq

@@ -22,13 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    AlreadyMember,
-    EngineError,
-    NoCollectionRecord,
-    ScenarioRuntimeError,
-    UnknownNetwork,
-)
+from .errors import EngineError, NoCollectionRecord, ScenarioRuntimeError
 from .model import (
     Commitment,
     CommitmentKind,
@@ -64,20 +58,16 @@ class RunResult:
 def register(
     w: WorldState, service: str, network: str, accept: bool, clock: int = 0
 ) -> tuple[WorldState, ScheduleEvent]:
-    """Authority decision on a signup: membership on accept, none on reject."""
-    if network not in w.networks:
-        raise UnknownNetwork(f"no network {network!r}")
-    if w.is_member(service, network):
-        raise AlreadyMember(f"{service!r} is already a member of {network!r}")
+    """Authority decision on a signup: membership on accept, none on reject.
+
+    Either way the signup must name a known network and a service not yet
+    a member of it; ``with_member`` raises otherwise.
+    """
+    joined = w.with_member(service, network)
+    attrs = (("network", network),)
     if accept:
-        return (
-            w.with_member(service, network),
-            ScheduleEvent(clock, EventKind.REGISTERED, service, (("network", network),)),
-        )
-    return (
-        w,
-        ScheduleEvent(clock, EventKind.REJECTED, service, (("network", network),)),
-    )
+        return joined, ScheduleEvent(clock, EventKind.REGISTERED, service, attrs)
+    return w, ScheduleEvent(clock, EventKind.REJECTED, service, attrs)
 
 
 class _Sim:
@@ -89,7 +79,7 @@ class _Sim:
         self.sched = Scheduler(policy_override or Policy.FCFS)
         self.clock = 0
         self.guards: dict[str, bool] = {}
-        self.used_ids: set[str] = set()
+        self.claimed_ids: set[str] = set()  # submitted or guard-rejected
         self.events: list[ScheduleEvent] = []
         self.current: Command | None = None
 
@@ -180,12 +170,12 @@ class _Sim:
         requester: str | None,
         payload: str | None,
     ) -> None:
-        if cid in self.used_ids:
+        if cid in self.claimed_ids:
             raise self.fail(f"commitment id {cid!r} already used")
         if not self.world.has_any_membership(service):
             raise self.fail(f"{service!r} was never accepted into a network")
         if guard is not None and not self.guards.get(guard, False):
-            self.used_ids.add(cid)
+            self.claimed_ids.add(cid)
             self.emit(EventKind.REJECTED, cid, ("guard", guard))
             return
 
@@ -207,14 +197,12 @@ class _Sim:
             service,
             creditor,
             content,
-            condition=guard,
             explicit_priority=priority,
             clock=self.clock,
             detail_privacy={target: detail.privacy} if detail else None,
             target_owner=detail.owner if detail else None,
-            used_ids=self.used_ids,
         )
-        self.used_ids.add(cid)
+        self.claimed_ids.add(cid)
         self.emit(
             EventKind.SUBMITTED,
             cid,
@@ -268,13 +256,13 @@ class _Sim:
             return self._write(c, veracity=bool(c.content.veracity))
         if verb is Verb.TAMPER:
             try:
-                return exec_tamper_guard(self.world, c.debtor, c.content.target, self.clock)
+                return exec_tamper_guard(self.world, c.debtor, c.content.target)
             except NoCollectionRecord:
                 # Nothing was ever collected: the attempt degrades to an
                 # ordinary write and answers to resp2 instead.
                 return self._write(c, veracity=True)
         if verb is Verb.SIGNOFF:
-            result = exec_signoff(self.world, c.debtor, self.clock)
+            result = exec_signoff(self.world, c.debtor)
             if isinstance(result, Violation):
                 return result
             self.world, networks = result
@@ -283,9 +271,7 @@ class _Sim:
             )
             return None
         if verb is Verb.REVEAL:
-            result = exec_reveal(
-                self.world, c.debtor, c.content.target, c.content.requester, self.clock
-            )
+            result = exec_reveal(self.world, c.content.target, c.content.requester, self.clock)
             return result if isinstance(result, Violation) else None
         raise AssertionError(f"unhandled verb {verb}")
 

@@ -295,9 +295,7 @@ def exec_post(
     return w.with_detail(created)
 
 
-def exec_tamper_guard(
-    w: WorldState, actor: str, detail_key: str, t: int
-) -> Violation:
+def exec_tamper_guard(w: WorldState, actor: str, detail_key: str) -> Violation:
     """A tamper attempt on collected data is always a breach (resp3).
 
     Collection records are immutable values, so the snapshot survives
@@ -312,9 +310,7 @@ def exec_tamper_guard(
     return Violation(Responsibility.RESP3, "tamper-after-collection")
 
 
-def exec_signoff(
-    w: WorldState, service: str, t: int
-) -> tuple[WorldState, tuple[str, ...]] | Violation:
+def exec_signoff(w: WorldState, service: str) -> tuple[WorldState, tuple[str, ...]] | Violation:
     """Sign a service off its networks; blocked by ongoing assignments (resp4).
 
     Complete and failed assignments are both terminal and do not block.
@@ -329,9 +325,7 @@ def exec_signoff(
     return w.without_memberships(service), networks
 
 
-def exec_reveal(
-    w: WorldState, revealer: str, detail_key: str, requester: str, t: int
-) -> str | Violation:
+def exec_reveal(w: WorldState, detail_key: str, requester: str, t: int) -> str | Violation:
     """Reveal a detail's value to a requester (resp5).
 
     Members always get the value. Non-members never see private details;

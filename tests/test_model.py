@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commitsched.errors import (
-    DuplicateId,
     IllegalTransition,
     InvalidContent,
     MismatchedResponsibility,
@@ -152,20 +151,6 @@ def test_responsibility_verb_pairing(responsibility, verb):
     else:
         with pytest.raises(MismatchedResponsibility):
             build()
-
-
-def test_duplicate_id_rejected():
-    with pytest.raises(DuplicateId):
-        new_commitment(
-            "c1",
-            CommitmentKind.SOCIAL,
-            Responsibility.RESP1,
-            "svcA",
-            "netFB",
-            _content(Verb.COLLECT),
-            explicit_priority=0,
-            used_ids={"c1"},
-        )
 
 
 def test_signoff_must_target_debtor():

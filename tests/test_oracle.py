@@ -15,6 +15,7 @@ from commitsched.oracle import (
     reference_admission,
     reference_schedule,
 )
+from commitsched.scheduler import Scheduler
 
 
 def R(cid, target="d", prio=0, arr=0):
@@ -127,6 +128,17 @@ def test_grid_of_three_is_clean():
     assert report.unsafe_states == 0
     assert report.undrained == 0
     assert (report.combinations, report.instances) == (584, 3584)
+
+
+def test_grid_catches_a_wrong_activation_order(monkeypatch):
+    # Right waiters in the wrong order: the grid must report the drains of two.
+    on_complete = Scheduler.on_complete
+    monkeypatch.setattr(
+        Scheduler, "on_complete", lambda self, *args: on_complete(self, *args)[::-1]
+    )
+    report = run_grid(3)
+    assert report.mismatches
+    assert all("oracle activates" in m for m in report.mismatches)
 
 
 # -- bounds -------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from commitsched.scheduler import (
     DecisionKind,
     Policy,
     Scheduler,
-    select_next,
 )
 
 from conftest import make_commitment
@@ -162,38 +161,6 @@ def test_on_complete_rejects_other_outcomes():
     s.submit(make_commitment("c1", R, "d"))
     with pytest.raises(ValueError):
         s.on_complete("c1", LifecycleState.VIOLATED)
-
-
-# -- select_next ---------------------------------------------------------------
-
-def test_select_next_fcfs_earliest_arrival():
-    queue = [make_commitment("c2", W, "d", arrival=1), make_commitment("c3", W, "d", arrival=2)]
-    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
-    assert select_next(queue, [], Policy.FCFS).id == "c2"
-
-
-def test_select_next_priority_highest():
-    queue = [
-        make_commitment("c2", W, "d", priority=0, arrival=1),
-        make_commitment("c3", W, "d", priority=10, arrival=2),
-    ]
-    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
-    assert select_next(queue, [], Policy.PRIORITY).id == "c3"
-
-
-def test_select_next_tie_breaks_on_id():
-    queue = [
-        make_commitment("c3", W, "d", priority=5, arrival=1),
-        make_commitment("c2", W, "d", priority=5, arrival=1),
-    ]
-    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
-    assert select_next(queue, [], Policy.PRIORITY).id == "c2"
-
-
-def test_select_next_skips_conflicting():
-    active = [transition(make_commitment("a", W, "d"), TransitionEvent.ACTIVATE)]
-    queue = [transition(make_commitment("c2", W, "d", arrival=1), TransitionEvent.ENQUEUE)]
-    assert select_next(queue, active, Policy.FCFS) is None
 
 
 # -- policy switching -----------------------------------------------------------

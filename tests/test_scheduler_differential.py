@@ -10,13 +10,14 @@ must reproduce the specification exactly, sign-off scopes included.
 
 from __future__ import annotations
 
-import copy
+from typing import Iterable, Sequence
 
 from hypothesis import given, settings, strategies as st
 
 from commitsched.model import (
     ACCESS_FOR_VERB,
     AccessClass,
+    Commitment,
     LifecycleState,
     TransitionEvent,
     Verb,
@@ -29,7 +30,6 @@ from commitsched.scheduler import (
     Policy,
     Scheduler,
     _blocks,
-    select_next,
 )
 
 from conftest import make_commitment
@@ -42,6 +42,33 @@ RETIRE = {
     "fail": TransitionEvent.FAIL,
     "violation": TransitionEvent.VIOLATE,
 }
+W = AccessClass.WRITER
+
+
+def select_next(
+    queue: Sequence[Commitment],
+    active: Iterable[Commitment],
+    policy: Policy,
+) -> Commitment | None:
+    """Pick the queued commitment to activate next, or None.
+
+    The executable specification of one drain step. ``Scheduler`` does
+    not call it: its one-pass drain must activate exactly what a loop of
+    it would pick, in the same order. Only commitments that no longer
+    conflict with the active set are eligible. FCFS takes the earliest
+    arrival (queue order breaks ties); Priority takes the highest
+    priority, then earliest arrival, then smallest id.
+    """
+    actives = list(active)
+    eligible = [
+        (idx, c) for idx, c in enumerate(queue)
+        if not any(_blocks(c, a) for a in actives)
+    ]
+    if not eligible:
+        return None
+    if policy is Policy.FCFS:
+        return min(eligible, key=lambda e: (e[1].arrival, e[0]))[1]
+    return min(eligible, key=lambda e: (-e[1].priority, e[1].arrival, e[1].id))[1]
 
 
 class Pairwise:
@@ -138,22 +165,6 @@ def test_indexed_scheduler_matches_pairwise_specification(policy, data):
     _drive(data, s, ref, "c", data.draw(st.integers(1, 40), label="steps"))
 
 
-@settings(max_examples=80, deadline=None, report_multiple_bugs=False)
-@given(policy=st.sampled_from(list(Policy)), data=st.data())
-def test_clone_is_independent_of_the_original(policy, data):
-    s, ref = Scheduler(policy), Pairwise(policy)
-    _drive(data, s, ref, "c", 15)
-    twin, twin_ref = s.clone(), copy.deepcopy(ref)
-    frozen = (dict(twin.active), twin.queue, twin.snapshot())
-
-    _drive(data, s, ref, "o", 15)
-    assert (dict(twin.active), twin.queue, twin.snapshot()) == frozen
-
-    before = (dict(s.active), s.queue, s.snapshot())
-    _drive(data, twin, twin_ref, "t", 15)
-    assert (dict(s.active), s.queue, s.snapshot()) == before
-
-
 def test_signoff_blockers_keep_activation_then_queue_order():
     # r1 (owner svcB) and w2 active; w3 queued behind w2; the sign-off of svcB
     # contends with r1 through the owner scope and with w3 through the target.
@@ -178,3 +189,35 @@ def test_activation_from_the_queue_takes_a_fresh_sequence_number():
     assert [c.id for c in s.on_complete("a1", LifecycleState.COMPLETED)] == ["q"]
     off = make_commitment("off", AccessClass.WRITER, debtor="svcB", verb=Verb.SIGNOFF)
     assert s.submit(off) == Decision(DecisionKind.WAIT, ("a2", "q"))
+
+
+# -- select_next ---------------------------------------------------------------
+
+def test_select_next_fcfs_earliest_arrival():
+    queue = [make_commitment("c2", W, "d", arrival=1), make_commitment("c3", W, "d", arrival=2)]
+    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
+    assert select_next(queue, [], Policy.FCFS).id == "c2"
+
+
+def test_select_next_priority_highest():
+    queue = [
+        make_commitment("c2", W, "d", priority=0, arrival=1),
+        make_commitment("c3", W, "d", priority=10, arrival=2),
+    ]
+    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
+    assert select_next(queue, [], Policy.PRIORITY).id == "c3"
+
+
+def test_select_next_tie_breaks_on_id():
+    queue = [
+        make_commitment("c3", W, "d", priority=5, arrival=1),
+        make_commitment("c2", W, "d", priority=5, arrival=1),
+    ]
+    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
+    assert select_next(queue, [], Policy.PRIORITY).id == "c2"
+
+
+def test_select_next_skips_conflicting():
+    active = [transition(make_commitment("a", W, "d"), TransitionEvent.ACTIVATE)]
+    queue = [transition(make_commitment("c2", W, "d", arrival=1), TransitionEvent.ENQUEUE)]
+    assert select_next(queue, active, Policy.FCFS) is None

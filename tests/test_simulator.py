@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from commitsched.errors import ScenarioRuntimeError
+from commitsched.errors import AlreadyMember, ScenarioRuntimeError, UnknownNetwork
 from commitsched.scenario import parse
 from commitsched.scheduler import Policy
 from commitsched.simulator import four_network_demo, register, run
@@ -40,13 +40,19 @@ def test_register_reject_leaves_world():
     w2, event = register(w, "svcA", "fb", accept=False, clock=0)
     assert w2 == w
     assert event.kind is EventKind.REJECTED
+    # A rejection is still validated: unknown network, existing member.
+    with pytest.raises(UnknownNetwork, match="no network 'gplus'"):
+        register(w, "svcA", "gplus", accept=False, clock=0)
+    with pytest.raises(AlreadyMember, match="'svcA' is already a member of 'fb'"):
+        register(w.with_member("svcA", "fb"), "svcA", "fb", accept=False, clock=0)
 
 
 def test_register_twice_fails():
     result = _run_text("network fb\nsignup a fb accept\n")
-    with pytest.raises(ScenarioRuntimeError) as err:
-        run(parse("network fb\nsignup a fb accept\nsignup a fb accept\n"))
-    assert err.value.line == 3
+    for second in ("accept", "reject"):
+        with pytest.raises(ScenarioRuntimeError) as err:
+            run(parse(f"network fb\nsignup a fb accept\nsignup a fb {second}\n"))
+        assert err.value.line == 3
     assert result.world.is_member("a", "fb")
 
 

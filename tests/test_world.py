@@ -122,19 +122,19 @@ def test_post_without_network_for_fresh_key(small_world):
 
 def test_tamper_after_collection(small_world):
     w2, _ = exec_collect(small_world, "svcB", "email", "analytics", t=0)
-    result = exec_tamper_guard(w2, "svcB", "email", t=1)
+    result = exec_tamper_guard(w2, "svcB", "email")
     assert result == Violation(Responsibility.RESP3, "tamper-after-collection")
 
 
 def test_tamper_without_collection(small_world):
     with pytest.raises(NoCollectionRecord):
-        exec_tamper_guard(small_world, "svcB", "email", t=0)
+        exec_tamper_guard(small_world, "svcB", "email")
 
 
 def test_repeated_tampers_leave_snapshot_alone(small_world):
     w2, record = exec_collect(small_world, "svcB", "email", "analytics", t=0)
-    for t in (1, 2):
-        result = exec_tamper_guard(w2, "svcB", "email", t=t)
+    for _ in range(2):
+        result = exec_tamper_guard(w2, "svcB", "email")
         assert result == Violation(Responsibility.RESP3, "tamper-after-collection")
     assert w2.collections[0].snapshot == "addr0"
 
@@ -153,7 +153,7 @@ def test_signoff_with_terminal_assignments(small_world):
     w = w.with_finished_assignment("a1", AssignmentStatus.COMPLETE)
     w = w.with_assignment(Assignment("a2", "svcB"))
     w = w.with_finished_assignment("a2", AssignmentStatus.FAILED)
-    result = exec_signoff(w, "svcB", t=5)
+    result = exec_signoff(w, "svcB")
     assert not isinstance(result, Violation)
     w2, networks = result
     assert networks == ("fb",)
@@ -163,7 +163,7 @@ def test_signoff_with_terminal_assignments(small_world):
 def test_signoff_blocked_by_ongoing(small_world):
     w = small_world.with_assignment(Assignment("a1", "svcB"))
     w = w.with_assignment(Assignment("a2", "svcB"))
-    result = exec_signoff(w, "svcB", t=5)
+    result = exec_signoff(w, "svcB")
     assert result == Violation(
         Responsibility.RESP4, "ongoing-assignments", items=("a1", "a2")
     )
@@ -172,7 +172,7 @@ def test_signoff_blocked_by_ongoing(small_world):
 
 def test_signoff_unknown_service(small_world):
     with pytest.raises(UnknownService):
-        exec_signoff(small_world, "outsider", t=0)
+        exec_signoff(small_world, "outsider")
 
 
 # -- reveal -------------------------------------------------------------------------
@@ -183,37 +183,37 @@ def _with_record(world, t=0):
 
 
 def test_reveal_to_member(small_world):
-    assert exec_reveal(small_world, "svcA", "email", "svcB", t=0) == "addr0"
+    assert exec_reveal(small_world, "email", "svcB", t=0) == "addr0"
 
 
 def test_reveal_public_within_ttl(small_world):
     w = _with_record(small_world.with_ttl(5), t=0)
-    assert exec_reveal(w, "svcA", "email", "outsider", t=5) == "addr0"
+    assert exec_reveal(w, "email", "outsider", t=5) == "addr0"
 
 
 def test_reveal_public_expired(small_world):
     w = _with_record(small_world.with_ttl(5), t=0)
-    result = exec_reveal(w, "svcA", "email", "outsider", t=6)
+    result = exec_reveal(w, "email", "outsider", t=6)
     assert result == Violation(Responsibility.RESP5, "authorization-expired")
 
 
 def test_reveal_private_to_nonmember(small_world):
-    result = exec_reveal(small_world, "svcA", "vault", "outsider", t=0)
+    result = exec_reveal(small_world, "vault", "outsider", t=0)
     assert result == Violation(Responsibility.RESP5, "private-to-nonmember")
 
 
 def test_reveal_private_to_member_is_fine(small_world):
-    assert exec_reveal(small_world, "svcA", "vault", "svcB", t=0) == "secret0"
+    assert exec_reveal(small_world, "vault", "svcB", t=0) == "secret0"
 
 
 def test_reveal_needs_approved_collection(small_world):
-    result = exec_reveal(small_world, "svcA", "email", "outsider", t=0)
+    result = exec_reveal(small_world, "email", "outsider", t=0)
     assert result == Violation(Responsibility.RESP5, "no-approved-collection")
 
 
 def test_reveal_unknown_detail(small_world):
     with pytest.raises(UnknownDetail):
-        exec_reveal(small_world, "svcA", "ghost", "svcB", t=0)
+        exec_reveal(small_world, "ghost", "svcB", t=0)
 
 
 def _reveal_world():
@@ -227,8 +227,8 @@ def _reveal_world():
 def test_reveal_violations_are_monotone(first, gap):
     # Once expired for a non-member, it stays expired at every later tick.
     w = _reveal_world()
-    early = exec_reveal(w, "svcA", "email", "outsider", t=first)
-    late = exec_reveal(w, "svcA", "email", "outsider", t=first + gap)
+    early = exec_reveal(w, "email", "outsider", t=first)
+    late = exec_reveal(w, "email", "outsider", t=first + gap)
     if isinstance(early, Violation):
         assert isinstance(late, Violation)
 
@@ -304,11 +304,9 @@ def test_violations_leave_world_untouched(small_world):
         lambda: exec_collect(w, "outsider", "email", "analytics", t=0),
         lambda: exec_post(w, "svcB", "email", False, t=0),
         lambda: exec_post(w, "outsider", "email", True, t=0),
-        lambda: exec_tamper_guard(
-            _with_record(w), "svcB", "email", t=1
-        ),
-        lambda: exec_signoff(w, "svcA", t=0),
-        lambda: exec_reveal(w, "svcA", "vault", "outsider", t=0),
+        lambda: exec_tamper_guard(_with_record(w), "svcB", "email"),
+        lambda: exec_signoff(w, "svcA"),
+        lambda: exec_reveal(w, "vault", "outsider", t=0),
     ]
     snapshot = _rebuilt(w)
     for case in cases:
@@ -343,8 +341,8 @@ _steps = st.one_of(
         st.just("post"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS),
         st.booleans(), st.sampled_from(_NETWORKS), _ticks,
     ),
-    st.tuples(st.just("tamper"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS), _ticks),
-    st.tuples(st.just("signoff"), st.sampled_from(_SERVICES), _ticks),
+    st.tuples(st.just("tamper"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS)),
+    st.tuples(st.just("signoff"), st.sampled_from(_SERVICES)),
     st.tuples(
         st.just("reveal"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES), _ticks
     ),
@@ -378,7 +376,7 @@ def _apply(w: WorldState, step):
         result = exec_signoff(w, *args)
         return result if isinstance(result, Violation) else result[0]
     key, requester, t = args
-    return exec_reveal(w, "svcA", key, requester, t)
+    return exec_reveal(w, key, requester, t)
 
 
 def _must_breach(w: WorldState, step) -> bool:
