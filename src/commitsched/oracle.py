@@ -250,8 +250,6 @@ class _Walker:
 
 def enumerate_outcomes(instance: MiniInstance) -> frozenset[tuple[Event, ...]]:
     """All event sequences reachable by interleaving submissions/completions."""
-    if len(instance.commitments) > MAX_INSTANCE:
-        raise InstanceTooLarge(f"max {MAX_INSTANCE} commitments")
     walker = _Walker(instance)
     outcomes: set[tuple[Event, ...]] = set()
 
@@ -274,8 +272,6 @@ def explore(instance: MiniInstance) -> ExplorationReport:
     terminal states that fail to drain. Cheaper than enumerate_outcomes
     because states, not paths, are visited once.
     """
-    if len(instance.commitments) > MAX_INSTANCE:
-        raise InstanceTooLarge(f"max {MAX_INSTANCE} commitments")
     walker = _Walker(instance)
     seen: set[_State] = set()
     unsafe = 0

@@ -21,13 +21,23 @@ Design rules:
 Active and queued commitments are each kept in a scope index, a lock
 table hashed by resource (Gray & Reuter, *Transaction Processing*, ch. 8):
 buckets by content target, by target owner and, for sign-offs, by debtor.
-The index only narrows the candidates to those ``same_scope`` can accept;
-``_blocks`` still decides every pair. Each queued commitment carries its
-count of active blockers, so a retire touches only the retired
-commitment's scopes, and the waiters whose count drops to zero are
-activated in one pass in policy order. Within one drain activations only
-add blockers, so that pass makes exactly the choices of the greedy loop
-above.
+A query returns, in sequence order, only the indexed commitments whose
+access mode conflicts with the asker's; ``same_scope`` confirms each one.
+The mode decides which buckets are read:
+
+  - Sign-offs are writers, so every commitment in an owner or sign-off
+    bucket of the asker's scopes conflicts with it.
+  - The queued index keeps, per target, a second bucket of its writers
+    alone. A reader reads that one, a writer the full target bucket.
+  - The active set is pairwise compatible, so each active target bucket
+    holds readers only or exactly one writer. A writer reads the whole
+    bucket; for a reader, the bucket's first entry decides all of it.
+
+Each queued commitment carries its count of active blockers, so a retire
+touches only the waiters that conflict with the retired commitment, and
+the waiters whose count drops to zero are activated in one pass in
+policy order. Within one drain activations only add blockers, so that
+pass makes exactly the choices of the greedy loop above.
 """
 
 from __future__ import annotations
@@ -38,8 +48,15 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DuplicateId, IllegalState, NonEmptyQueue, UnknownId
-from .model import Commitment, LifecycleState, TransitionEvent, Verb, transition
-from .relations import classify, conflicts, same_scope
+from .model import (
+    AccessClass,
+    Commitment,
+    LifecycleState,
+    TransitionEvent,
+    Verb,
+    transition,
+)
+from .relations import same_scope
 
 
 class Policy(Enum):
@@ -83,10 +100,6 @@ _RETIRE_EVENT: Mapping[LifecycleState, TransitionEvent] = {
 }
 
 
-def _blocks(c: Commitment, other: Commitment) -> bool:
-    return same_scope(c, other) and conflicts(classify(c, other))
-
-
 def _drop(buckets: dict[str, dict[int, Commitment]], key: str, seq: int) -> None:
     bucket = buckets[key]
     del bucket[seq]
@@ -122,20 +135,64 @@ class _ScopeIndex:
         if c.content.verb is Verb.SIGNOFF:
             _drop(self.signoffs, c.debtor, seq)
 
-    def candidates(self, c: Commitment):
-        """Every indexed commitment that may share a scope with ``c``, by seq."""
-        found = self.by_target.get(c.content.target)
-        extra = []
-        if c.content.verb is Verb.SIGNOFF and c.debtor in self.by_owner:
-            extra.append(self.by_owner[c.debtor])
-        if c.target_owner is not None and c.target_owner in self.signoffs:
-            extra.append(self.signoffs[c.target_owner])
-        if not extra:
-            return found.values() if found else ()
+    def _with_owner_scopes(self, c: Commitment, found: dict[int, Commitment] | None):
+        """``found`` merged by seq with the owner and sign-off buckets of ``c``.
+
+        The callers first check that ``c`` is a sign-off or that sign-offs
+        by its target's owner are indexed; most queries read one bucket.
+        """
         merged = dict(found) if found else {}
-        for bucket in extra:
-            merged.update(bucket)
+        if c.content.verb is Verb.SIGNOFF:
+            merged.update(self.by_owner.get(c.debtor, ()))
+        merged.update(self.signoffs.get(c.target_owner, ()))
         return [merged[seq] for seq in sorted(merged)]
+
+
+class _HeldIndex(_ScopeIndex):
+    """The active commitments, which are pairwise compatible."""
+
+    __slots__ = ()
+
+    def conflicting(self, c: Commitment):
+        """Every active commitment whose mode conflicts with ``c``'s, by seq."""
+        found = self.by_target.get(c.content.target)
+        if (
+            found
+            and c.access is AccessClass.READER
+            and next(iter(found.values())).access is AccessClass.READER
+        ):
+            found = None  # readers only: all friends of c
+        if c.content.verb is Verb.SIGNOFF or c.target_owner in self.signoffs:
+            return self._with_owner_scopes(c, found)
+        return found.values() if found else ()
+
+
+class _WaitIndex(_ScopeIndex):
+    """The queued commitments, with each target's writers also kept apart."""
+
+    __slots__ = ("writers",)
+
+    def __init__(self):
+        super().__init__()
+        self.writers: dict[str, dict[int, Commitment]] = {}  # target -> its writers
+
+    def add(self, seq: int, c: Commitment) -> None:
+        super().add(seq, c)
+        if c.access is AccessClass.WRITER:
+            self.writers.setdefault(c.content.target, {})[seq] = c
+
+    def remove(self, seq: int, c: Commitment) -> None:
+        super().remove(seq, c)
+        if c.access is AccessClass.WRITER:
+            _drop(self.writers, c.content.target, seq)
+
+    def conflicting(self, c: Commitment):
+        """Every queued commitment whose mode conflicts with ``c``'s, by seq."""
+        by_mode = self.writers if c.access is AccessClass.READER else self.by_target
+        found = by_mode.get(c.content.target)
+        if c.content.verb is Verb.SIGNOFF or c.target_owner in self.signoffs:
+            return self._with_owner_scopes(c, found)
+        return found.values() if found else ()
 
 
 class Scheduler:
@@ -150,8 +207,8 @@ class Scheduler:
         self._tally: dict[str, dict[LifecycleState, int]] = {}  # terminal outcomes
         self._next_seq = 0
         self._seq: dict[str, int] = {}             # active or queued id -> its seq
-        self._held = _ScopeIndex()                 # active commitments
-        self._waiting = _ScopeIndex()              # queued commitments
+        self._held = _HeldIndex()                 # active commitments
+        self._waiting = _WaitIndex()              # queued commitments
         self._blocked_by: dict[str, int] = {}      # queued id -> active blocker count
         self._ready: set[str] = set()              # queued ids whose count is 0
 
@@ -180,9 +237,10 @@ class Scheduler:
             raise IllegalState(f"submit requires a pending commitment, got {c.state.value}")
         self._clock = max(self._clock, c.arrival)
         self._seen.add(c.id)
-        held = [x.id for x in self._held.candidates(c) if _blocks(c, x)]
+        held = [x.id for x in self._held.conflicting(c) if same_scope(c, x)]
         waiting = (
-            [x.id for x in self._waiting.candidates(c) if _blocks(c, x)] if self._queue else []
+            [x.id for x in self._waiting.conflicting(c) if same_scope(c, x)]
+            if self._queue else []
         )
         if not (held or waiting):
             self._activate(transition(c, TransitionEvent.ACTIVATE))
@@ -250,8 +308,8 @@ class Scheduler:
         self._held.add(self._take_seq(c.id), c)
         if self._queue:
             blocked_by = self._blocked_by
-            for q in self._waiting.candidates(c):
-                if _blocks(q, c):
+            for q in self._waiting.conflicting(c):
+                if same_scope(q, c):
                     blocked_by[q.id] += 1
 
     def _retire(self, cid: str, event: TransitionEvent) -> list[Commitment]:
@@ -264,8 +322,8 @@ class Scheduler:
         if not self._queue:
             return []
         blocked_by = self._blocked_by
-        for q in self._waiting.candidates(retired):
-            if _blocks(q, retired):
+        for q in self._waiting.conflicting(retired):
+            if same_scope(q, retired):
                 blocked_by[q.id] -= 1
                 if not blocked_by[q.id]:
                     self._ready.add(q.id)

@@ -256,7 +256,7 @@ class _Sim:
             return self._write(c, veracity=bool(c.content.veracity))
         if verb is Verb.TAMPER:
             try:
-                return exec_tamper_guard(self.world, c.debtor, c.content.target)
+                return exec_tamper_guard(self.world, c.content.target)
             except NoCollectionRecord:
                 # Nothing was ever collected: the attempt degrades to an
                 # ordinary write and answers to resp2 instead.

@@ -295,7 +295,7 @@ def exec_post(
     return w.with_detail(created)
 
 
-def exec_tamper_guard(w: WorldState, actor: str, detail_key: str) -> Violation:
+def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation:
     """A tamper attempt on collected data is always a breach (resp3).
 
     Collection records are immutable values, so the snapshot survives

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from commitsched.model import (
+    ACCESS_FOR_VERB,
     AccessClass,
     CommitmentKind,
     ContentAction,
@@ -49,6 +51,28 @@ def make_commitment(
         explicit_priority=priority,
         clock=arrival,
         target_owner=target_owner,
+    )
+
+
+SERVICES = ("svcA", "svcB")
+# "svcA" is also a detail key: a post on it shares the target of svcA's sign-off.
+TARGETS = ("d", "e", "svcA")
+
+
+@st.composite
+def any_commitment(draw, cid: str):
+    """Any verb, sign-offs included, on a small set of services and targets."""
+    verb = draw(st.sampled_from(list(Verb)))
+    debtor = draw(st.sampled_from(SERVICES))
+    return make_commitment(
+        cid,
+        ACCESS_FOR_VERB[verb],
+        target=debtor if verb is Verb.SIGNOFF else draw(st.sampled_from(TARGETS)),
+        priority=draw(st.sampled_from([0, 10])),
+        arrival=draw(st.integers(0, 2)),  # equal and non-monotonic arrivals
+        debtor=debtor,
+        target_owner=draw(st.sampled_from((None,) + SERVICES)),
+        verb=verb,
     )
 
 

@@ -22,7 +22,7 @@ from commitsched.scheduler import (
     Scheduler,
 )
 
-from conftest import make_commitment
+from conftest import any_commitment, make_commitment
 
 R = AccessClass.READER
 W = AccessClass.WRITER
@@ -209,12 +209,15 @@ def test_snapshot_after_completion():
 
 # -- properties --------------------------------------------------------------------
 
+def _conflict(a, b) -> bool:
+    """The conflict rule of ``relations``: same scope, and not friends."""
+    return same_scope(a, b) and conflicts(classify(a, b))
+
+
 def _safety_holds(s: Scheduler) -> bool:
     actives = list(s.active.values())
     return not any(
-        same_scope(a, b) and conflicts(classify(a, b))
-        for i, a in enumerate(actives)
-        for b in actives[i + 1:]
+        _conflict(a, b) for i, a in enumerate(actives) for b in actives[i + 1:]
     )
 
 
@@ -254,6 +257,37 @@ def test_distinct_targets_admit_immediately(specs):
     for i, (access, _, prio) in enumerate(specs):
         d = s.submit(make_commitment(f"c{i}", access, f"t{i}", priority=prio, arrival=i))
         assert d.kind is DecisionKind.EXECUTE
+
+
+RETIRES = ("completed", "failed", "violated")
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy=st.sampled_from(list(Policy)), data=st.data())
+def test_blocker_counts_and_wait_blockers_match_a_relations_scan(policy, data):
+    # The scope index reads only the buckets whose access mode conflicts;
+    # every answer must equal a plain scan with the relations rule.
+    s = Scheduler(policy)
+    for i in range(data.draw(st.integers(1, 40), label="steps")):
+        if s.active and data.draw(st.booleans(), label="retire"):
+            cid = data.draw(st.sampled_from(sorted(s.active)), label="retired")
+            outcome = data.draw(st.sampled_from(RETIRES), label="outcome")
+            if outcome == "violated":
+                s.on_violation(cid)
+            else:
+                s.on_complete(cid, LifecycleState(outcome))
+        else:
+            c = data.draw(any_commitment(f"c{i}"), label="submitted")
+            scan = [x.id for x in s.active.values() if _conflict(c, x)]
+            scan += [x.id for x in s.queue if _conflict(c, x)]
+            decision = s.submit(c)
+            if scan:
+                assert decision == Decision(DecisionKind.WAIT, tuple(scan))
+            else:
+                assert decision.kind is DecisionKind.EXECUTE
+        assert _safety_holds(s)
+        for q in s.queue:
+            assert s._blocked_by[q.id] == sum(_conflict(q, a) for a in s.active.values())
 
 
 def test_deterministic_replay():

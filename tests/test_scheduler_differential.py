@@ -1,11 +1,12 @@
 """The indexed Scheduler against the pairwise specification.
 
 ``Pairwise`` is the scheduler written straight from its definition: every
-submission is checked with ``_blocks`` against every active and every
-queued commitment, and every retire drains with a ``select_next`` loop.
-Random runs drive both side by side and compare every observable after
-every step, so the scope index, the blocker counts and the one-pass drain
-must reproduce the specification exactly, sign-off scopes included.
+submission is checked with ``_blocks``, the ``relations`` rule, against
+every active and every queued commitment, and every retire drains with a
+``select_next`` loop. Random runs drive both side by side and compare
+every observable after every step, so the scope index, the blocker counts
+and the one-pass drain must reproduce the specification exactly, sign-off
+scopes included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable, Sequence
 from hypothesis import given, settings, strategies as st
 
 from commitsched.model import (
-    ACCESS_FOR_VERB,
     AccessClass,
     Commitment,
     LifecycleState,
@@ -23,26 +23,28 @@ from commitsched.model import (
     Verb,
     transition,
 )
+from commitsched.relations import classify, conflicts, same_scope
 from commitsched.scheduler import (
     Decision,
     DecisionKind,
     MonitoringReport,
     Policy,
     Scheduler,
-    _blocks,
 )
 
-from conftest import make_commitment
+from conftest import any_commitment, make_commitment
 
-SERVICES = ("svcA", "svcB")
-# "svcA" is also a detail key: a post on it shares the target of svcA's sign-off.
-TARGETS = ("d", "e", "svcA")
 RETIRE = {
     "complete": TransitionEvent.COMPLETE,
     "fail": TransitionEvent.FAIL,
     "violation": TransitionEvent.VIOLATE,
 }
 W = AccessClass.WRITER
+
+
+def _blocks(c: Commitment, other: Commitment) -> bool:
+    """The conflict rule of ``relations``: same scope, and not friends."""
+    return same_scope(c, other) and conflicts(classify(c, other))
 
 
 def select_next(
@@ -113,22 +115,6 @@ class Pairwise:
         return MonitoringReport(counts, tuple(c.id for c in self.queue))
 
 
-@st.composite
-def commitments(draw, cid: str):
-    verb = draw(st.sampled_from(list(Verb)))
-    debtor = draw(st.sampled_from(SERVICES))
-    return make_commitment(
-        cid,
-        ACCESS_FOR_VERB[verb],
-        target=debtor if verb is Verb.SIGNOFF else draw(st.sampled_from(TARGETS)),
-        priority=draw(st.sampled_from([0, 10])),
-        arrival=draw(st.integers(0, 2)),  # equal and non-monotonic arrivals
-        debtor=debtor,
-        target_owner=draw(st.sampled_from((None,) + SERVICES)),
-        verb=verb,
-    )
-
-
 def _retire(s: Scheduler, cid: str, event: TransitionEvent) -> list:
     if event is TransitionEvent.VIOLATE:
         return s.on_violation(cid)
@@ -149,7 +135,7 @@ def _drive(data, s: Scheduler, ref: Pairwise, prefix: str, steps: int) -> None:
         ops = ["submit"] * 2 + (list(RETIRE) if ref.active else [])
         op = data.draw(st.sampled_from(ops), label="op")
         if op == "submit":
-            c = data.draw(commitments(f"{prefix}{submitted}"), label="commitment")
+            c = data.draw(any_commitment(f"{prefix}{submitted}"), label="commitment")
             submitted += 1
             assert s.submit(c) == ref.submit(c)
         else:

@@ -122,19 +122,19 @@ def test_post_without_network_for_fresh_key(small_world):
 
 def test_tamper_after_collection(small_world):
     w2, _ = exec_collect(small_world, "svcB", "email", "analytics", t=0)
-    result = exec_tamper_guard(w2, "svcB", "email")
+    result = exec_tamper_guard(w2, "email")
     assert result == Violation(Responsibility.RESP3, "tamper-after-collection")
 
 
 def test_tamper_without_collection(small_world):
     with pytest.raises(NoCollectionRecord):
-        exec_tamper_guard(small_world, "svcB", "email")
+        exec_tamper_guard(small_world, "email")
 
 
 def test_repeated_tampers_leave_snapshot_alone(small_world):
     w2, record = exec_collect(small_world, "svcB", "email", "analytics", t=0)
     for _ in range(2):
-        result = exec_tamper_guard(w2, "svcB", "email")
+        result = exec_tamper_guard(w2, "email")
         assert result == Violation(Responsibility.RESP3, "tamper-after-collection")
     assert w2.collections[0].snapshot == "addr0"
 
@@ -304,7 +304,7 @@ def test_violations_leave_world_untouched(small_world):
         lambda: exec_collect(w, "outsider", "email", "analytics", t=0),
         lambda: exec_post(w, "svcB", "email", False, t=0),
         lambda: exec_post(w, "outsider", "email", True, t=0),
-        lambda: exec_tamper_guard(_with_record(w), "svcB", "email"),
+        lambda: exec_tamper_guard(_with_record(w), "email"),
         lambda: exec_signoff(w, "svcA"),
         lambda: exec_reveal(w, "vault", "outsider", t=0),
     ]
@@ -341,7 +341,7 @@ _steps = st.one_of(
         st.just("post"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS),
         st.booleans(), st.sampled_from(_NETWORKS), _ticks,
     ),
-    st.tuples(st.just("tamper"), st.sampled_from(_SERVICES), st.sampled_from(_KEYS)),
+    st.tuples(st.just("tamper"), st.sampled_from(_KEYS)),
     st.tuples(st.just("signoff"), st.sampled_from(_SERVICES)),
     st.tuples(
         st.just("reveal"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES), _ticks
@@ -388,7 +388,7 @@ def _must_breach(w: WorldState, step) -> bool:
     if op == "post":
         return not args[2]
     if op == "tamper":
-        key = args[1]
+        key = args[0]
         return key in w.details and any(r.detail_key == key for r in w.collections)
     if op == "signoff":
         svc = args[0]
