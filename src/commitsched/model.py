@@ -10,9 +10,16 @@ machine, and the two derivations every commitment carries:
                    and 0 otherwise (private outranks public).
 
 All types are frozen dataclasses; ``transition`` returns a new value and
-never mutates its argument. New versions of a value are made by
-``_evolve``, which copies the instance dictionary instead of running
-``__init__`` again (every field of the input has been validated already).
+never mutates its argument. Commitments are built and copied without
+``__init__``: ``new_commitment`` validates its arguments itself and
+``_evolve`` copies an already valid value, so both fill a fresh instance
+dictionary in one step (``_build``). Equality, hashing, ``repr`` and the
+frozen-attribute check stay the dataclass's own. ``ContentAction`` is
+built by its constructor, which validates it.
+
+Enums used as dictionary keys on the per-commitment path hash by
+identity (``__hash__ = object.__hash__``, computed without running Python
+code); their equality is identity already.
 """
 
 from __future__ import annotations
@@ -49,10 +56,14 @@ class Verb(Enum):
     SIGNOFF = "signoff"
     REVEAL = "reveal"
 
+    __hash__ = object.__hash__  # identity, as equality is
+
 
 class AccessClass(Enum):
     READER = "reader"
     WRITER = "writer"
+
+    __hash__ = object.__hash__  # identity, as equality is
 
 
 class Privacy(Enum):
@@ -68,6 +79,8 @@ class LifecycleState(Enum):
     FAILED = "failed"
     VIOLATED = "violated"
 
+    __hash__ = object.__hash__  # identity, as equality is
+
 
 class TransitionEvent(Enum):
     ACTIVATE = "activate"
@@ -75,6 +88,8 @@ class TransitionEvent(Enum):
     COMPLETE = "complete"
     FAIL = "fail"
     VIOLATE = "violate"
+
+    __hash__ = object.__hash__  # identity, as equality is
 
 
 # Each responsibility governs exactly one verb.
@@ -171,6 +186,17 @@ class Commitment:
     target_owner: str | None = None
 
 
+def _build(cls, fields: dict):
+    """Instance of the frozen dataclass ``cls`` whose attributes are ``fields``.
+
+    Runs neither ``__init__`` nor ``__post_init__``: ``fields`` must name
+    every field, derived ones included, with values already validated.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _evolve(obj, **changes):
     """Copy of the frozen dataclass ``obj`` with ``changes`` applied.
 
@@ -180,11 +206,7 @@ def _evolve(obj, **changes):
     field some derived field depends on must pass that one too. ``obj``
     is never modified.
     """
-    twin = object.__new__(obj.__class__)
-    own = twin.__dict__
-    own.update(obj.__dict__)
-    own.update(changes)
-    return twin
+    return _build(obj.__class__, {**obj.__dict__, **changes})
 
 
 def derive_access_class(content: ContentAction) -> AccessClass:
@@ -243,19 +265,19 @@ def new_commitment(
         raise InvalidContent(
             f"sign-off target must be the debtor ({debtor!r}), got {content.target!r}"
         )
-    return Commitment(
-        id=cid,
-        kind=kind,
-        responsibility=responsibility,
-        debtor=debtor,
-        creditor=creditor,
-        content=content,
-        access=derive_access_class(content),
-        priority=derive_priority(content, explicit_priority, detail_privacy),
-        arrival=clock,
-        state=LifecycleState.PENDING,
-        target_owner=target_owner,
-    )
+    return _build(Commitment, {
+        "id": cid,
+        "kind": kind,
+        "responsibility": responsibility,
+        "debtor": debtor,
+        "creditor": creditor,
+        "content": content,
+        "access": derive_access_class(content),
+        "priority": derive_priority(content, explicit_priority, detail_privacy),
+        "arrival": clock,
+        "state": LifecycleState.PENDING,
+        "target_owner": target_owner,
+    })
 
 
 def transition(c: Commitment, event: TransitionEvent) -> Commitment:

@@ -32,7 +32,7 @@ from .model import (
     Verb,
     new_commitment,
 )
-from .scenario import Command, Scenario, parse
+from .scenario import _BUILDERS, Command, Scenario
 from .scheduler import DecisionKind, MonitoringReport, Policy, Scheduler
 from .trace import EventKind, ScheduleEvent, Trace
 from .world import (
@@ -94,9 +94,11 @@ class _Sim:
 
     def step(self, cmd: Command) -> None:
         self.current = cmd
-        handler = getattr(self, f"_do_{cmd.verb.replace('-', '_')}")
+        handler = _HANDLERS.get(cmd.verb)
+        if handler is None:
+            raise self.fail(f"unknown command {cmd.verb!r}")
         try:
-            handler(**cmd.params)
+            handler(self, **cmd.params)
         except ScenarioRuntimeError:
             raise
         except EngineError as exc:
@@ -207,9 +209,9 @@ class _Sim:
             EventKind.SUBMITTED,
             cid,
             ("service", service),
-            ("verb", verb.value),
+            ("verb", verb._value_),
             ("target", target),
-            ("access", commitment.access.value),
+            ("access", commitment.access._value_),
             ("prio", str(commitment.priority)),
         )
         decision = self.sched.submit(commitment)
@@ -293,6 +295,12 @@ class _Sim:
         return None
 
 
+# Scenario command -> the ``_Sim`` method that runs it. Only the methods
+# are bound here: the model and world functions they call are looked up
+# at call time, so replacing a module attribute still takes effect.
+_HANDLERS = {verb: getattr(_Sim, "_do_" + verb.replace("-", "_")) for verb in _BUILDERS}
+
+
 def _home_network(world: WorldState, service: str) -> str:
     networks = world.member_networks(service)
     return networks[0] if networks else "-"
@@ -323,9 +331,3 @@ def run(
     trace = Trace(tuple(sim.events), sim.clock)
     return RunResult(trace, sim.world, sim.sched)
 
-
-def four_network_demo() -> Scenario:
-    """The bundled four-network application scenario."""
-    from .scenarios import load_text
-
-    return parse(load_text("four-network-demo"), source="four-network-demo")

@@ -5,12 +5,19 @@ attribute order fixed by the emitting code, and a final sentinel line
 ``t=<tick> END ok=<true|false>`` where ok means the run saw no
 responsibility violation. Identical runs serialize byte-identically;
 the monitoring panel is a pure projection of this text.
+
+An event is a ``ScheduleEvent``, a named tuple ``(clock, kind, subject,
+attrs)``: immutable, compared and hashed as a tuple, and several times
+cheaper to build than a frozen dataclass (a run makes at least one per
+commitment). ``line()`` renders it with one format and a join over
+``attrs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class EventKind(Enum):
@@ -26,9 +33,10 @@ class EventKind(Enum):
     SNAPSHOT = "Snapshot"
     SIGNEDOFF = "SignedOff"
 
+    __hash__ = object.__hash__  # identity, as equality is
 
-@dataclass(frozen=True)
-class ScheduleEvent:
+
+class ScheduleEvent(NamedTuple):
     """One timestamped trace line."""
 
     clock: int
@@ -37,9 +45,9 @@ class ScheduleEvent:
     attrs: tuple[tuple[str, str], ...] = ()
 
     def line(self) -> str:
-        parts = [f"t={self.clock}", self.kind.value, self.subject]
-        parts.extend(f"{k}={v}" for k, v in self.attrs)
-        return " ".join(parts)
+        clock, kind, subject, attrs = self
+        # ``_value_`` is the member's stored value; ``.value`` is a property.
+        return f"t={clock} {kind._value_} {subject}" + "".join([f" {k}={v}" for k, v in attrs])
 
 
 @dataclass(frozen=True)

@@ -346,7 +346,3 @@ def exec_reveal(w: WorldState, detail_key: str, requester: str, t: int) -> str |
         return d.value
     return Violation(Responsibility.RESP5, "authorization-expired")
 
-
-def status(w: WorldState, assignment_id: str) -> AssignmentStatus:
-    """Current progress of an assignment."""
-    return w.assignment(assignment_id).status

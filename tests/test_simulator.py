@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from commitsched.errors import AlreadyMember, ScenarioRuntimeError, UnknownNetwork
-from commitsched.scenario import parse
+from commitsched.scenario import _BUILDERS, Command, Scenario, parse
 from commitsched.scheduler import Policy
-from commitsched.simulator import four_network_demo, register, run
+from commitsched.scenarios import load_text
+from commitsched.simulator import _HANDLERS, register, run
 from commitsched.trace import EventKind, replay_counts
 from commitsched.world import WorldState
 
@@ -72,6 +73,19 @@ def test_rejected_service_cannot_submit():
     )
     with pytest.raises(ScenarioRuntimeError):
         _run_text(text)
+
+
+def test_every_scenario_command_has_a_handler():
+    assert set(_HANDLERS) == set(_BUILDERS)
+
+
+def test_unknown_command_names_its_line():
+    scenario = Scenario((Command("network", 1, {"name": "fb"}), Command("withdraw", 3, {})))
+    with pytest.raises(ScenarioRuntimeError) as err:
+        run(scenario)
+    assert err.value.line == 3
+    assert err.value.command == "withdraw"
+    assert "unknown command 'withdraw'" in str(err.value)
 
 
 # -- rule traces ----------------------------------------------------------------
@@ -300,7 +314,7 @@ def test_post_with_explicit_priority_may_create_detail():
 # -- determinism and monitoring --------------------------------------------------------------
 
 def test_trace_determinism_on_demo():
-    demo = four_network_demo()
+    demo = parse(load_text("four-network-demo"), source="four-network-demo")
     assert run(demo).trace.text() == run(demo).trace.text()
 
 

@@ -31,7 +31,6 @@ from commitsched.world import (
     exec_reveal,
     exec_signoff,
     exec_tamper_guard,
-    status,
     valid,
 )
 
@@ -237,14 +236,14 @@ def test_reveal_violations_are_monotone(first, gap):
 
 def test_status_lifecycle(small_world):
     w = small_world.with_assignment(Assignment("a1", "svcB"))
-    assert status(w, "a1") is AssignmentStatus.ONGOING
+    assert w.assignment("a1").status is AssignmentStatus.ONGOING
     w = w.with_finished_assignment("a1", AssignmentStatus.COMPLETE)
-    assert status(w, "a1") is AssignmentStatus.COMPLETE
+    assert w.assignment("a1").status is AssignmentStatus.COMPLETE
 
 
 def test_status_unknown(small_world):
     with pytest.raises(UnknownAssignment):
-        status(small_world, "ghost")
+        small_world.assignment("ghost").status
 
 
 def test_finish_twice_rejected(small_world):
