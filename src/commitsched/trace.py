@@ -7,8 +7,8 @@ responsibility violation. Identical runs serialize byte-identically;
 the monitoring panel is a pure projection of this text.
 
 An event is a ``ScheduleEvent``, a named tuple ``(clock, kind, subject,
-attrs)``: immutable, compared and hashed as a tuple, and several times
-cheaper to build than a frozen dataclass (a run makes at least one per
+attrs)``: immutable, compared and hashed as a tuple, and about half as
+dear to build as a frozen dataclass (a run makes at least one per
 commitment). ``line()`` renders it with one format and a join over
 ``attrs``.
 """
