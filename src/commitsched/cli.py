@@ -3,9 +3,13 @@
     commitsched run <scenario> [--policy fcfs|priority] [--golden FILE]
     commitsched check <scenario>
     commitsched demo
+    commitsched oracle [size]
 
 ``run`` prints the trace to stdout; with --golden it compares against a
-frozen trace and exits 1 on mismatch. Parse and runtime errors exit 2.
+frozen trace and exits 1 on mismatch. ``oracle`` checks the scheduler
+against the brute-force reference on every instance of up to ``size``
+(default 4) commitments and exits 1 on any mismatch, unsafe state or
+undrained run. Parse and runtime errors exit 2.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="commitsched",
         description="Deterministic commitment scheduling and scenario simulation.",
     )
-    sub = top.add_subparsers(dest="command", required=True, metavar="{run,check,demo}")
+    sub = top.add_subparsers(
+        dest="command", required=True, metavar="{run,check,demo,oracle}"
+    )
 
     p_run = sub.add_parser("run", help="execute a scenario and print its trace")
     p_run.add_argument("scenario", help="path to a .scn scenario file")
@@ -45,9 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("demo", help="emit the bundled four-network scenario")
 
-    # Undocumented: exhaustive scheduler-vs-oracle grid.
-    p_oracle = sub.add_parser("oracle")
-    p_oracle.add_argument("size", type=int, nargs="?", default=4)
+    p_oracle = sub.add_parser(
+        "oracle",
+        help="check the scheduler against the brute-force reference on every "
+        "small instance; exits 1 on any mismatch",
+    )
+    p_oracle.add_argument(
+        "size", type=int, nargs="?", default=4,
+        help="largest instance, in commitments (default 4)",
+    )
 
     return top
 

@@ -17,7 +17,6 @@ from itertools import product
 from typing import Iterator
 
 from .model import (
-    AccessClass,
     Commitment,
     CommitmentKind,
     ContentAction,
@@ -27,6 +26,8 @@ from .model import (
     new_commitment,
 )
 from .oracle import (
+    READER,
+    WRITER,
     MiniCommitment,
     MiniInstance,
     ReferenceScheduler,
@@ -34,21 +35,14 @@ from .oracle import (
 )
 from .scheduler import DecisionKind, Policy, Scheduler
 
-_VERB_FOR_ACCESS = {
-    AccessClass.READER: Verb.COLLECT,
-    AccessClass.WRITER: Verb.POST,
-}
-
 
 def _real_commitment(mini: MiniCommitment) -> Commitment:
-    verb = _VERB_FOR_ACCESS[
-        AccessClass.READER if mini.access == "reader" else AccessClass.WRITER
-    ]
-    content = (
-        ContentAction(verb, mini.target, owner="owner", purpose="testing")
-        if verb is Verb.COLLECT
-        else ContentAction(verb, mini.target, veracity=True)
-    )
+    if mini.access == READER:
+        verb = Verb.COLLECT
+        content = ContentAction(verb, mini.target, owner="owner", purpose="testing")
+    else:
+        verb = Verb.POST
+        content = ContentAction(verb, mini.target, veracity=True)
     return new_commitment(
         mini.id,
         CommitmentKind.SOCIAL,
@@ -155,8 +149,7 @@ def run_grid(
 ) -> GridReport:
     """Check every instance of the grid; report mismatches and oracle stats."""
     report = GridReport()
-    accesses = ("reader", "writer")
-    slots = list(product(accesses, targets, priorities))
+    slots = list(product((READER, WRITER), targets, priorities))
     for n in range(1, max_commitments + 1):
         for combo in product(slots, repeat=n):
             minis = tuple(

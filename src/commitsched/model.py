@@ -129,10 +129,6 @@ _LEGAL_TRANSITIONS: Mapping[tuple[LifecycleState, TransitionEvent], LifecycleSta
     (LifecycleState.ACTIVE, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
 }
 
-TERMINAL_STATES = frozenset(
-    {LifecycleState.COMPLETED, LifecycleState.FAILED, LifecycleState.VIOLATED}
-)
-
 
 @dataclass(frozen=True)
 class ContentAction:

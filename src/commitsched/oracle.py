@@ -3,19 +3,22 @@
 Deliberately independent of the scheduler module: the conflict rule is
 restated from scratch (two commitments contend iff they share a target
 and at least one writes) and no code is shared, so equivalence tests
-between the two have teeth.
+between the two have teeth. Within this module each rule is written
+once: ``_contend`` (conflict), ``_blockers`` (admission) and
+``_eligible`` (which waiters may drain); everything else calls them.
 
 ``ReferenceScheduler`` replays submissions and completions with the same
-documented tie-break chain as the real engine. ``enumerate_outcomes``
-and ``explore`` walk every interleaving of a small instance - including
+documented tie-break chain as the real engine. ``explore`` walks every
+reachable state of a small instance - under every completion order and
 every possible dequeue order, a superset of both service policies - and
-check that no reachable state runs a writer alongside anything on its
-target, and that every run drains its queue.
+counts states that run a writer alongside anything on its target and
+end states that leave a queue behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
 from .errors import InstanceTooLarge
 
@@ -40,15 +43,9 @@ class MiniCommitment:
 
 @dataclass(frozen=True)
 class MiniInstance:
-    """A small scheduling problem: commitments plus a completion preference.
-
-    ``completion_order`` ranks ids; whenever something must complete, the
-    highest-ranked currently-active id goes first. Every id that ever
-    activates must appear in it.
-    """
+    """A small scheduling problem: commitments in submission order."""
 
     commitments: tuple[MiniCommitment, ...]
-    completion_order: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.commitments) > MAX_INSTANCE:
@@ -70,6 +67,22 @@ def _contend(a: MiniCommitment, b: MiniCommitment) -> bool:
     return a.target == b.target and (a.access == WRITER or b.access == WRITER)
 
 
+def _blockers(
+    c: MiniCommitment,
+    active: Iterable[MiniCommitment],
+    queued: Iterable[MiniCommitment],
+) -> list[MiniCommitment]:
+    """What a new arrival waits behind: every contending active, then queued one."""
+    return [x for x in (*active, *queued) if _contend(c, x)]
+
+
+def _eligible(
+    queued: Iterable[MiniCommitment], active: Collection[MiniCommitment]
+) -> list[MiniCommitment]:
+    """Waiters that contend with nothing active, in queue order."""
+    return [q for q in queued if not any(_contend(q, a) for a in active)]
+
+
 class ReferenceScheduler:
     """Minimal admission engine used as the ground truth."""
 
@@ -78,16 +91,13 @@ class ReferenceScheduler:
             raise ValueError(f"unknown policy {policy!r}")
         self.policy = policy
         self.active: list[MiniCommitment] = []
-        self.queue: list[tuple[int, MiniCommitment]] = []  # (queue seq, commitment)
-        self._next_seq = 0
+        self.queue: list[MiniCommitment] = []  # in the order they were queued
 
     def submit(self, c: MiniCommitment) -> RefDecision:
-        blockers = [a.id for a in self.active if _contend(c, a)]
-        blockers += [q.id for _, q in self.queue if _contend(c, q)]
+        blockers = _blockers(c, self.active, self.queue)
         if blockers:
-            self.queue.append((self._next_seq, c))
-            self._next_seq += 1
-            return RefDecision("wait", tuple(blockers))
+            self.queue.append(c)
+            return RefDecision("wait", tuple(b.id for b in blockers))
         self.active.append(c)
         return RefDecision("execute")
 
@@ -97,64 +107,26 @@ class ReferenceScheduler:
             raise KeyError(cid)
         self.active = [a for a in self.active if a.id != cid]
         activated: list[str] = []
-        while True:
-            nxt = self._pick()
-            if nxt is None:
-                break
-            self.queue = [(s, q) for s, q in self.queue if q.id != nxt.id]
+        while (nxt := self._pick()) is not None:
+            self.queue = [q for q in self.queue if q.id != nxt.id]
             self.active.append(nxt)
             activated.append(nxt.id)
         return activated
 
     def _pick(self) -> MiniCommitment | None:
-        eligible = [
-            (seq, q) for seq, q in self.queue
-            if not any(_contend(q, a) for a in self.active)
-        ]
+        eligible = _eligible(self.queue, self.active)
         if not eligible:
             return None
         if self.policy == "fcfs":
-            return min(eligible, key=lambda e: (e[1].arrival, e[0]))[1]
-        return min(eligible, key=lambda e: (-e[1].priority, e[1].arrival, e[1].id))[1]
+            # min keeps the first of equal arrivals: the earlier queued wins.
+            return min(eligible, key=lambda q: q.arrival)
+        return min(eligible, key=lambda q: (-q.priority, q.arrival, q.id))
 
     def copy(self) -> "ReferenceScheduler":
         twin = ReferenceScheduler(self.policy)
         twin.active = list(self.active)
         twin.queue = list(self.queue)
-        twin._next_seq = self._next_seq
         return twin
-
-
-def reference_admission(
-    instance: MiniInstance, policy: str = "fcfs"
-) -> list[RefDecision]:
-    """Submission decisions for the instance, one per commitment."""
-    ref = ReferenceScheduler(policy)
-    return [ref.submit(c) for c in instance.commitments]
-
-
-@dataclass(frozen=True)
-class RefSchedule:
-    decisions: tuple[RefDecision, ...]
-    completions: tuple[str, ...]
-    activations: tuple[str, ...]  # queue activations, in activation order
-
-
-def reference_schedule(instance: MiniInstance, policy: str = "fcfs") -> RefSchedule:
-    """Full reference run: submit everything, then drain by preference."""
-    ref = ReferenceScheduler(policy)
-    decisions = tuple(ref.submit(c) for c in instance.commitments)
-    rank = {cid: i for i, cid in enumerate(instance.completion_order)}
-    completions: list[str] = []
-    activations: list[str] = []
-    while ref.active:
-        try:
-            chosen = min(ref.active, key=lambda a: rank[a.id])
-        except KeyError as exc:
-            raise ValueError(f"completion order misses active id {exc}") from exc
-        completions.append(chosen.id)
-        activations.extend(ref.complete(chosen.id))
-    return RefSchedule(decisions, tuple(completions), tuple(activations))
 
 
 # -- exhaustive interleaving exploration -------------------------------------
@@ -162,45 +134,24 @@ def reference_schedule(instance: MiniInstance, policy: str = "fcfs") -> RefSched
 @dataclass(frozen=True)
 class ExplorationReport:
     states: int
-    terminal_states: int
     unsafe_states: int
     undrained_outcomes: int
 
-    @property
-    def all_safe(self) -> bool:
-        return self.unsafe_states == 0
 
-    @property
-    def all_drained(self) -> bool:
-        return self.undrained_outcomes == 0
-
-
-# A search state: (next submission index, active ids, queued ids in order).
-_State = tuple[int, frozenset[str], tuple[str, ...]]
-
-Event = tuple[str, str]  # ("submit"|"wait"|"activate"|"complete", id)
+# A search state: (next submission index, active set, queue in order).
+_Active = frozenset[MiniCommitment]
+_Queue = tuple[MiniCommitment, ...]
+_State = tuple[int, _Active, _Queue]
 
 
 class _Walker:
     """Transition relation over instance states; admission is automatic."""
 
     def __init__(self, instance: MiniInstance):
-        self.by_id = {c.id: c for c in instance.commitments}
-        self.order = tuple(c.id for c in instance.commitments)
+        self.commitments = instance.commitments
 
-    def initial(self) -> _State:
-        return (0, frozenset(), ())
-
-    def is_unsafe(self, active: frozenset[str]) -> bool:
-        items = [self.by_id[i] for i in active]
-        return any(
-            _contend(a, b)
-            for i, a in enumerate(items)
-            for b in items[i + 1:]
-        )
-
-    def moves(self, state: _State) -> list[tuple[tuple[Event, ...], _State]]:
-        """Successors of a state, each with the events that produce it.
+    def moves(self, state: _State) -> list[_State]:
+        """Successors of a state.
 
         Submissions keep their listed order. Any active commitment may
         complete at any time, and after a completion the queue drains in
@@ -208,94 +159,57 @@ class _Walker:
         and any tie-break).
         """
         i, active, queue = state
-        out: list[tuple[tuple[Event, ...], _State]] = []
-        if i < len(self.order):
-            cid = self.order[i]
-            c = self.by_id[cid]
-            contenders = [x for x in active if _contend(c, self.by_id[x])]
-            contenders += [x for x in queue if _contend(c, self.by_id[x])]
-            if contenders:
-                out.append(
-                    ((("submit", cid), ("wait", cid)), (i + 1, active, queue + (cid,)))
-                )
+        out: list[_State] = []
+        if i < len(self.commitments):
+            c = self.commitments[i]
+            if _blockers(c, active, queue):
+                out.append((i + 1, active, queue + (c,)))
             else:
-                out.append(
-                    ((("submit", cid), ("activate", cid)), (i + 1, active | {cid}, queue))
-                )
-        for cid in sorted(active):
-            for activated, nxt_active, nxt_queue in self._drains(active - {cid}, queue):
-                events = (("complete", cid),) + tuple(
-                    ("activate", x) for x in activated
-                )
-                out.append((events, (i, nxt_active, nxt_queue)))
+                out.append((i + 1, active | {c}, queue))
+        for c in active:
+            out.extend((i, *end) for end in self._drains(active - {c}, queue))
         return out
 
-    def _drains(
-        self, active: frozenset[str], queue: tuple[str, ...]
-    ) -> list[tuple[tuple[str, ...], frozenset[str], tuple[str, ...]]]:
-        """Every maximal greedy drain of the queue against the active set."""
-        eligible = [
-            cid for cid in queue
-            if not any(_contend(self.by_id[cid], self.by_id[a]) for a in active)
-        ]
+    def _drains(self, active: _Active, queue: _Queue) -> set[tuple[_Active, _Queue]]:
+        """Distinct end states of every maximal greedy drain of the queue."""
+        eligible = _eligible(queue, active)
         if not eligible:
-            return [((), active, queue)]
-        results = []
-        for cid in eligible:
-            rest = tuple(x for x in queue if x != cid)
-            for tail, fin_active, fin_queue in self._drains(active | {cid}, rest):
-                results.append(((cid,) + tail, fin_active, fin_queue))
-        return results
+            return {(active, queue)}
+        ends: set[tuple[_Active, _Queue]] = set()
+        for c in eligible:
+            ends |= self._drains(active | {c}, tuple(q for q in queue if q is not c))
+        return ends
 
 
-def enumerate_outcomes(instance: MiniInstance) -> frozenset[tuple[Event, ...]]:
-    """All event sequences reachable by interleaving submissions/completions."""
-    walker = _Walker(instance)
-    outcomes: set[tuple[Event, ...]] = set()
-
-    def dfs(state: _State, events: tuple[Event, ...]) -> None:
-        succ = walker.moves(state)
-        if not succ:
-            outcomes.add(events)
-            return
-        for step, nxt in succ:
-            dfs(nxt, events + step)
-
-    dfs(walker.initial(), ())
-    return frozenset(outcomes)
+def _unsafe(active: _Active) -> bool:
+    items = list(active)
+    return any(_contend(a, b) for i, a in enumerate(items) for b in items[i + 1:])
 
 
 def explore(instance: MiniInstance) -> ExplorationReport:
     """Memoized walk over every reachable state of an instance.
 
-    Counts unsafe states (two same-target actives, one a writer) and
-    terminal states that fail to drain. Cheaper than enumerate_outcomes
-    because states, not paths, are visited once.
+    Counts unsafe states (two same-target actives, one a writer) and end
+    states that fail to drain. A state with no move has submitted and
+    completed everything, so only a queue can be left over.
     """
     walker = _Walker(instance)
     seen: set[_State] = set()
     unsafe = 0
-    terminal = 0
     undrained = 0
-    stack = [walker.initial()]
-    n = len(instance.commitments)
+    stack: list[_State] = [(0, frozenset(), ())]
     while stack:
         state = stack.pop()
         if state in seen:
             continue
         seen.add(state)
-        i, active, queue = state
-        if walker.is_unsafe(active):
+        _, active, queue = state
+        if _unsafe(active):
             unsafe += 1
-        successors = [nxt for _, nxt in walker.moves(state)]
-        if not successors:
-            terminal += 1
-            if queue or i < n or active:
-                undrained += 1
+        successors = walker.moves(state)
+        if not successors and queue:
+            undrained += 1
         stack.extend(successors)
     return ExplorationReport(
-        states=len(seen),
-        terminal_states=terminal,
-        unsafe_states=unsafe,
-        undrained_outcomes=undrained,
+        states=len(seen), unsafe_states=unsafe, undrained_outcomes=undrained
     )

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from commitsched import oracle
 from commitsched.equivalence import run_grid
 from commitsched.errors import InstanceTooLarge
 from commitsched.oracle import (
+    ExplorationReport,
     MiniCommitment,
     MiniInstance,
     RefDecision,
-    enumerate_outcomes,
+    ReferenceScheduler,
     explore,
-    reference_admission,
-    reference_schedule,
 )
 from commitsched.scheduler import Scheduler
 
@@ -26,96 +26,107 @@ def W(cid, target="d", prio=0, arr=0):
     return MiniCommitment(cid, "writer", target, prio, arr)
 
 
+def _decisions(*commitments):
+    ref = ReferenceScheduler()
+    return [ref.submit(c) for c in commitments]
+
+
 # -- reference admission -------------------------------------------------------
 
 def test_two_readers_both_execute():
-    decisions = reference_admission(MiniInstance((R("c1"), R("c2", arr=1))))
+    decisions = _decisions(R("c1"), R("c2", arr=1))
     assert decisions == [RefDecision("execute"), RefDecision("execute")]
 
 
 def test_reader_waits_for_writer():
-    decisions = reference_admission(MiniInstance((W("c1"), R("c2", arr=1))))
+    decisions = _decisions(W("c1"), R("c2", arr=1))
     assert decisions == [RefDecision("execute"), RefDecision("wait", ("c1",))]
 
 
 def test_disjoint_writers_both_execute():
-    decisions = reference_admission(MiniInstance((W("c1"), W("c2", "e", arr=1))))
+    decisions = _decisions(W("c1"), W("c2", "e", arr=1))
     assert decisions == [RefDecision("execute"), RefDecision("execute")]
 
 
 def test_queued_conflicts_also_block():
-    decisions = reference_admission(
-        MiniInstance((R("c1"), W("c2", arr=1), R("c3", arr=2)))
-    )
+    decisions = _decisions(R("c1"), W("c2", arr=1), R("c3", arr=2))
     assert decisions[2] == RefDecision("wait", ("c2",))
 
 
 def test_reference_schedule_policies():
-    inst = MiniInstance(
-        (W("c1"), W("c2", prio=0, arr=1), W("c3", prio=10, arr=2)),
-        completion_order=("c1", "c2", "c3"),
-    )
-    assert reference_schedule(inst, "fcfs").activations == ("c2", "c3")
-    assert reference_schedule(inst, "priority").activations == ("c3", "c2")
+    # Two writers queued behind c1; FCFS serves c2 first, Priority c3 (p10).
+    for policy, first, second in (("fcfs", "c2", "c3"), ("priority", "c3", "c2")):
+        ref = ReferenceScheduler(policy)
+        for c in (W("c1"), W("c2", prio=0, arr=1), W("c3", prio=10, arr=2)):
+            ref.submit(c)
+        assert ref.complete("c1") == [first]
+        assert ref.complete(first) == [second]
+        assert ref.complete(second) == []
+        assert ref.active == ref.queue == []
 
 
-def test_reference_schedule_needs_covering_order():
-    inst = MiniInstance((W("c1"),), completion_order=())
-    with pytest.raises(ValueError):
-        reference_schedule(inst)
-
-
-# -- enumeration ------------------------------------------------------------------
+# -- exploration ------------------------------------------------------------------
+# State counts of the full walk: every submission, completion and dequeue
+# order. A walk that skipped one of those orders would reach fewer states.
 
 def test_single_commitment_has_one_outcome():
-    outcomes = enumerate_outcomes(MiniInstance((R("c1"),)))
-    assert outcomes == {
-        (("submit", "c1"), ("activate", "c1"), ("complete", "c1")),
-    }
+    # (not submitted), active, completed.
+    assert explore(MiniInstance((R("c1"),))) == ExplorationReport(3, 0, 0)
 
 
 def test_same_target_writers_serialize():
-    # Two interleavings exist and neither ever has both writers active.
-    outcomes = enumerate_outcomes(MiniInstance((W("c1"), W("c2", arr=1))))
-    assert len(outcomes) == 2
-    for seq in outcomes:
-        active = set()
-        for kind, cid in seq:
-            if kind == "activate":
-                active.add(cid)
-            elif kind == "complete":
-                active.remove(cid)
-            assert len(active) <= 1
     report = explore(MiniInstance((W("c1"), W("c2", arr=1))))
-    assert report.all_safe and report.all_drained
+    assert report == ExplorationReport(6, 0, 0)
 
 
 def test_independent_writers_interleave():
-    outcomes = enumerate_outcomes(MiniInstance((W("c1"), W("c2", "e", arr=1))))
-    assert len(outcomes) == 3
+    report = explore(MiniInstance((W("c1"), W("c2", "e", arr=1))))
+    assert report == ExplorationReport(7, 0, 0)
 
 
 def test_three_commitments_two_targets_safe_and_drained():
     inst = MiniInstance((W("c1"), R("c2", arr=1), W("c3", "e", arr=2)))
-    report = explore(inst)
-    assert report.all_safe
-    assert report.all_drained
-    assert report.states > 0
+    assert explore(inst) == ExplorationReport(12, 0, 0)
 
 
 def test_exploration_covers_any_dequeue_order():
-    # A writer and a reader queued behind a writer: depending on which is
-    # dequeued first, different schedules arise; all must stay safe.
+    # A writer and a reader queued behind a writer: either may be dequeued
+    # first, and both orders are walked (see the first-only mutation below).
     inst = MiniInstance((W("c1"), W("c2", arr=1), R("c3", arr=2)))
-    report = explore(inst)
-    assert report.all_safe and report.all_drained
-    outcomes = enumerate_outcomes(inst)
-    firsts = {
-        tuple(cid for kind, cid in seq if kind == "activate")
-        for seq in outcomes
-    }
-    assert ("c1", "c2", "c3") in firsts
-    assert ("c1", "c3", "c2") in firsts
+    assert explore(inst) == ExplorationReport(12, 0, 0)
+
+
+_ELIGIBLE = oracle._eligible
+
+
+@pytest.mark.parametrize(
+    "name, fake, commitments, check",
+    [
+        (
+            "_blockers",
+            lambda c, active, queued: [],
+            (W("c1"), W("c2", arr=1)),
+            lambda r: r.unsafe_states >= 1,
+        ),
+        (
+            "_eligible",
+            lambda queued, active: [],
+            (W("c1"), W("c2", arr=1)),
+            lambda r: r.undrained_outcomes >= 1,
+        ),
+        (
+            "_eligible",
+            lambda queued, active: _ELIGIBLE(queued, active)[:1],
+            (W("c1"), W("c2", arr=1), R("c3", arr=2)),
+            lambda r: r.states == 10,
+        ),
+    ],
+    ids=["admit-all", "drain-none", "drain-first-only"],
+)
+def test_exploration_counters_fire(monkeypatch, name, fake, commitments, check):
+    # Each oracle rule broken in turn: explore's counters must show it.
+    monkeypatch.setattr(oracle, name, fake)
+    assert check(explore(MiniInstance(commitments)))
 
 
 # -- scheduler-vs-oracle grid ---------------------------------------------------------
@@ -128,6 +139,7 @@ def test_grid_of_three_is_clean():
     assert report.unsafe_states == 0
     assert report.undrained == 0
     assert (report.combinations, report.instances) == (584, 3584)
+    assert report.states_explored == 7104
 
 
 def test_grid_catches_a_wrong_activation_order(monkeypatch):

@@ -13,7 +13,7 @@ from commitsched.model import (
     Verb,
     transition,
 )
-from commitsched.oracle import MiniCommitment, MiniInstance, reference_schedule
+from commitsched.oracle import MiniCommitment, ReferenceScheduler
 from commitsched.relations import classify, conflicts, same_scope
 from commitsched.scheduler import (
     Decision,
@@ -129,18 +129,14 @@ def test_both_readers_activate_together():
     activated = s.on_complete("c1", LifecycleState.COMPLETED)
     assert [c.id for c in activated] == ["c2", "c3"]
 
-    ref = reference_schedule(
-        MiniInstance(
-            (
-                MiniCommitment("c1", "writer", "d", 0, 0),
-                MiniCommitment("c2", "reader", "d", 0, 1),
-                MiniCommitment("c3", "reader", "d", 0, 2),
-            ),
-            completion_order=("c1", "c2", "c3"),
-        ),
-        "fcfs",
-    )
-    assert ref.activations == ("c2", "c3")
+    ref = ReferenceScheduler("fcfs")
+    for c in (
+        MiniCommitment("c1", "writer", "d", 0, 0),
+        MiniCommitment("c2", "reader", "d", 0, 1),
+        MiniCommitment("c3", "reader", "d", 0, 2),
+    ):
+        ref.submit(c)
+    assert ref.complete("c1") == ["c2", "c3"]
 
 
 def test_failed_outcome_releases_scope_like_completed():
