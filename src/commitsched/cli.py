@@ -109,7 +109,7 @@ def _cmd_oracle(args) -> int:
         f"states={report.states_explored}"
     )
     print(
-        f"pass={report.instances - len(report.mismatches)} "
+        f"pass={report.passed} "
         f"fail={len(report.mismatches)} unsafe={report.unsafe_states} "
         f"undrained={report.undrained}"
     )

@@ -58,6 +58,7 @@ def _real_commitment(mini: MiniCommitment) -> Commitment:
 @dataclass
 class GridReport:
     instances: int = 0       # (combination, completion order, policy) runs
+    passed: int = 0          # runs that replayed clean
     combinations: int = 0
     states_explored: int = 0
     unsafe_states: int = 0
@@ -81,9 +82,11 @@ def _check_combination(
     )
     commitments = [_real_commitment(mini) for mini in minis]
     ref = ReferenceScheduler(policy.value)
+    decisions = [ref.submit(mini) for mini in minis]
+    paths = list(_completion_paths(ref))
+    report.instances += len(paths)
     sched = Scheduler(policy)
-    for mini, c in zip(minis, commitments):
-        expected = ref.submit(mini)
+    for mini, c, expected in zip(minis, commitments, decisions):
         got = sched.submit(c)
         got_kind = "execute" if got.kind is DecisionKind.EXECUTE else "wait"
         if (got_kind, got.blockers) != (expected.kind, expected.blockers):
@@ -94,10 +97,11 @@ def _check_combination(
             )
             return
     failed: CompletionPath | None = None
-    for path in _completion_paths(ref):
+    for path in paths:
         if failed is not None and path[: len(failed)] == failed:
             continue  # this prefix has been reported once already
         failed = _replay(path, commitments, policy, tag, report)
+        report.passed += failed is None
 
 
 def _completion_paths(
@@ -135,21 +139,21 @@ def _replay(
                 f"{tag}: complete {cid}: oracle activates {expected} vs scheduler {got}"
             )
             return path[: i + 1]
-    report.instances += 1
     if sched.queue:
         report.mismatches.append(f"{tag}: scheduler left a queue")
+        return path
     return None
 
 
-def run_grid(
-    max_commitments: int = 4,
-    targets: tuple[str, ...] = ("d", "e"),
-    priorities: tuple[int, ...] = (0, 10),
-    policies: tuple[Policy, ...] = (Policy.FCFS, Policy.PRIORITY),
-) -> GridReport:
+_TARGETS = ("d", "e")
+_PRIORITIES = (0, 10)
+_POLICIES = (Policy.FCFS, Policy.PRIORITY)
+
+
+def run_grid(max_commitments: int = 4) -> GridReport:
     """Check every instance of the grid; report mismatches and oracle stats."""
     report = GridReport()
-    slots = list(product((READER, WRITER), targets, priorities))
+    slots = list(product((READER, WRITER), _TARGETS, _PRIORITIES))
     for n in range(1, max_commitments + 1):
         for combo in product(slots, repeat=n):
             minis = tuple(
@@ -161,6 +165,6 @@ def run_grid(
             report.states_explored += exploration.states
             report.unsafe_states += exploration.unsafe_states
             report.undrained += exploration.undrained_outcomes
-            for policy in policies:
+            for policy in _POLICIES:
                 _check_combination(minis, policy, report)
     return report

@@ -1,6 +1,6 @@
 """Line-based scenario grammar.
 
-One command per line, tokens whitespace-separated, ``#`` starts a
+One command per line, words whitespace-separated, ``#`` starts a
 comment. Commands:
 
     policy <fcfs|priority>
@@ -26,22 +26,23 @@ Verb-specific submit arguments:
     signoff <service>            (must equal the submitting service)
     reveal  <detail> <requester>
 
-Parsing validates verbs, arity and enum tokens up front; anything else
-(unknown networks, duplicate ids, ...) surfaces at run time.
+Parsing validates verbs, arity and enum words up front; anything else
+(unknown networks, duplicate ids, ...) surfaces at run time. A line is
+read as plain words. A rejection blames one word by its index, and the
+column of that word is computed only then, for the rejected line alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from .errors import ParseError
 from .model import Privacy, Responsibility, Verb
 from .scheduler import Policy
 from .world import AssignmentStatus
-
-_TOKEN = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -61,232 +62,173 @@ class Scenario:
     source: str = "<string>"
 
 
-def _tokens(raw: str) -> list[tuple[str, int]]:
-    body = raw.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
+class _Rejected(Exception):
+    """Raised as ``(index, message)``: the word at fault (0 = command) and why."""
 
 
-def _enum(table: dict[str, Any], token: str, col: int, line: int, what: str) -> Any:
+def _enum(word: str, table: dict[str, Any], what: str) -> Any:
     try:
-        return table[token]
+        return table[word]
     except KeyError:
         options = "|".join(sorted(table))
-        raise ParseError(line, col, f"bad {what} {token!r} (expected {options})") from None
+        raise ValueError(f"bad {what} {word!r} (expected {options})") from None
 
 
-def _int(token: str, col: int, line: int, what: str, minimum: int = 0) -> int:
+def _int(word: str, what: str, minimum: int = 0) -> int:
     try:
-        value = int(token)
+        value = int(word)
     except ValueError:
-        raise ParseError(line, col, f"bad {what} {token!r} (expected integer)") from None
+        raise ValueError(f"bad {what} {word!r} (expected integer)") from None
     if value < minimum:
-        raise ParseError(line, col, f"{what} must be >= {minimum}, got {value}")
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
-_POLICIES = {p.value: p for p in Policy}
-_PRIVACIES = {p.value: p for p in Privacy}
-_RESPONSIBILITIES = {r.value: r for r in Responsibility}
-_VERBS = {v.value: v for v in Verb}
-_DECISIONS = {"accept": True, "reject": False}
-_FINISHES = {"complete": AssignmentStatus.COMPLETE, "failed": AssignmentStatus.FAILED}
-_BOOLS = {"true": True, "false": False}
+def _exact(words: list[str], n: int) -> None:
+    if len(words) != n + 1:
+        raise _Rejected(0, f"{words[0]} takes {n} argument(s), got {len(words) - 1}")
 
-# verb -> (min positional args after target, max, names)
-_SUBMIT_ARGS = {
-    Verb.COLLECT: (2, 2, ("owner", "purpose")),
-    Verb.POST: (1, 2, ("veracity", "payload")),
-    Verb.TAMPER: (0, 1, ("payload",)),
-    Verb.SIGNOFF: (0, 0, ()),
-    Verb.REVEAL: (1, 1, ("requester",)),
+
+def _arg(words: list[str], i: int, convert: Callable[[str], Any]) -> Any:
+    """``convert(words[i])``; a rejected word is blamed by its index."""
+    try:
+        return convert(words[i])
+    except ValueError as err:
+        raise _Rejected(i, str(err)) from None
+
+
+def _one_of(table: dict[str, Any], what: str) -> Callable[[str], Any]:
+    return partial(_enum, table=table, what=what)
+
+
+_BOOLS = {"true": True, "false": False}
+_VERB = _one_of({v.value: v for v in Verb}, "action verb")
+_FINISHES = {s.value: s for s in (AssignmentStatus.COMPLETE, AssignmentStatus.FAILED)}
+
+# Fixed-arity command -> (parameter name, converter) for each argument in order.
+_Spec = tuple[tuple[str, Callable[[str], Any]], ...]
+_FIXED: dict[str, _Spec] = {
+    "policy": (("policy", _one_of({p.value: p for p in Policy}, "policy")),),
+    "network": (("name", str),),
+    "purpose": (("network", str), ("token", str)),
+    "signup": (
+        ("service", str),
+        ("network", str),
+        ("accept", _one_of({"accept": True, "reject": False}, "decision")),
+    ),
+    "assign": (
+        ("service", str),
+        ("responsibility", _one_of({r.value: r for r in Responsibility}, "responsibility")),
+    ),
+    "assignment": (("id", str), ("service", str)),
+    "finish-assignment": (("id", str), ("status", _one_of(_FINISHES, "status"))),
+    "detail": (
+        ("key", str),
+        ("owner", str),
+        ("network", str),
+        ("privacy", _one_of({p.value: p for p in Privacy}, "privacy")),
+        ("value", str),
+    ),
+    "ttl": (("ticks", partial(_int, what="ttl")),),
+    "guard": (("name", str), ("value", _one_of(_BOOLS, "guard value"))),
+    "snapshot": (),
 }
+
+# verb -> (least positional args after target, (name, converter) of each)
+_SUBMIT_ARGS = {
+    Verb.COLLECT: (2, (("owner", str), ("purpose", str))),
+    Verb.POST: (1, (("veracity", _one_of(_BOOLS, "veracity")), ("payload", str))),
+    Verb.TAMPER: (0, (("payload", str),)),
+    Verb.SIGNOFF: (0, ()),
+    Verb.REVEAL: (1, (("requester", str),)),
+}
+_NO_ARGS = dict.fromkeys(("owner", "purpose", "veracity", "requester", "payload"))
 
 
 def parse(text: str, source: str = "<string>") -> Scenario:
     """Parse scenario text, rejecting malformed commands with locations."""
     commands: list[Command] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        verb, col = toks[0]
-        rest = toks[1:]
-        builder = _BUILDERS.get(verb)
-        if builder is None:
-            raise ParseError(lineno, col, f"unknown command {verb!r}")
-        commands.append(Command(verb, lineno, builder(rest, lineno, col)))
+        try:
+            builder = _BUILDERS.get(words[0])
+            if builder is None:
+                raise _Rejected(0, f"unknown command {words[0]!r}")
+            commands.append(Command(words[0], lineno, builder(words)))
+        except _Rejected as err:
+            index, message = err.args
+            raise ParseError(lineno, _column(raw, index), message) from None
     return Scenario(tuple(commands), source)
 
 
-def _exact(rest, lineno, col, verb, n):
-    if len(rest) != n:
-        raise ParseError(lineno, col, f"{verb} takes {n} argument(s), got {len(rest)}")
+def _column(raw: str, index: int) -> int:
+    """1-based column of word ``index`` of a scenario line."""
+    body = raw.split("#", 1)[0]
+    return [m.start() + 1 for m in re.finditer(r"\S+", body)][index]
 
 
-def _parse_policy(rest, lineno, col):
-    _exact(rest, lineno, col, "policy", 1)
-    tok, c = rest[0]
-    return {"policy": _enum(_POLICIES, tok, c, lineno, "policy")}
+def _parse_fixed(words: list[str], spec: _Spec) -> dict[str, Any]:
+    _exact(words, len(spec))
+    return {name: _arg(words, i, convert) for i, (name, convert) in enumerate(spec, 1)}
 
 
-def _parse_network(rest, lineno, col):
-    _exact(rest, lineno, col, "network", 1)
-    return {"name": rest[0][0]}
+def _parse_complete(words: list[str]) -> dict[str, Any]:
+    if not 2 <= len(words) <= 3:
+        raise _Rejected(0, "complete takes <cid> [failed]")
+    if len(words) == 3 and words[2] != "failed":
+        raise _Rejected(2, f"expected 'failed', got {words[2]!r}")
+    return {"cid": words[1], "failed": len(words) == 3}
 
 
-def _parse_purpose(rest, lineno, col):
-    _exact(rest, lineno, col, "purpose", 2)
-    return {"network": rest[0][0], "token": rest[1][0]}
-
-
-def _parse_signup(rest, lineno, col):
-    _exact(rest, lineno, col, "signup", 3)
-    tok, c = rest[2]
-    return {
-        "service": rest[0][0],
-        "network": rest[1][0],
-        "accept": _enum(_DECISIONS, tok, c, lineno, "decision"),
-    }
-
-
-def _parse_assign(rest, lineno, col):
-    _exact(rest, lineno, col, "assign", 2)
-    tok, c = rest[1]
-    return {
-        "service": rest[0][0],
-        "responsibility": _enum(_RESPONSIBILITIES, tok, c, lineno, "responsibility"),
-    }
-
-
-def _parse_assignment(rest, lineno, col):
-    _exact(rest, lineno, col, "assignment", 2)
-    return {"id": rest[0][0], "service": rest[1][0]}
-
-
-def _parse_finish(rest, lineno, col):
-    _exact(rest, lineno, col, "finish-assignment", 2)
-    tok, c = rest[1]
-    return {"id": rest[0][0], "status": _enum(_FINISHES, tok, c, lineno, "status")}
-
-
-def _parse_detail(rest, lineno, col):
-    _exact(rest, lineno, col, "detail", 5)
-    tok, c = rest[3]
-    return {
-        "key": rest[0][0],
-        "owner": rest[1][0],
-        "network": rest[2][0],
-        "privacy": _enum(_PRIVACIES, tok, c, lineno, "privacy"),
-        "value": rest[4][0],
-    }
-
-
-def _parse_ttl(rest, lineno, col):
-    _exact(rest, lineno, col, "ttl", 1)
-    tok, c = rest[0]
-    return {"ticks": _int(tok, c, lineno, "ttl")}
-
-
-def _parse_guard(rest, lineno, col):
-    _exact(rest, lineno, col, "guard", 2)
-    tok, c = rest[1]
-    return {"name": rest[0][0], "value": _enum(_BOOLS, tok, c, lineno, "guard value")}
-
-
-def _parse_complete(rest, lineno, col):
-    if not rest or len(rest) > 2:
-        raise ParseError(lineno, col, "complete takes <cid> [failed]")
-    failed = False
-    if len(rest) == 2:
-        tok, c = rest[1]
-        if tok != "failed":
-            raise ParseError(lineno, c, f"expected 'failed', got {tok!r}")
-        failed = True
-    return {"cid": rest[0][0], "failed": failed}
-
-
-def _parse_tick(rest, lineno, col):
-    if len(rest) > 1:
-        raise ParseError(lineno, col, "tick takes at most one argument")
-    if rest:
-        tok, c = rest[0]
-        return {"ticks": _int(tok, c, lineno, "tick count", minimum=1)}
+def _parse_tick(words: list[str]) -> dict[str, Any]:
+    if len(words) > 2:
+        raise _Rejected(0, "tick takes at most one argument")
+    if len(words) == 2:
+        return {"ticks": _arg(words, 1, partial(_int, what="tick count", minimum=1))}
     return {"ticks": 1}
 
 
-def _parse_snapshot(rest, lineno, col):
-    _exact(rest, lineno, col, "snapshot", 0)
-    return {}
-
-
-def _parse_submit(rest, lineno, col):
-    if len(rest) < 4:
-        raise ParseError(
-            lineno, col, "submit takes <cid> <service> <verb> <target> [arg...]"
-        )
-    cid = rest[0][0]
-    service = rest[1][0]
-    vtok, vcol = rest[2]
-    verb = _enum(_VERBS, vtok, vcol, lineno, "action verb")
-    target, tcol = rest[3]
-    positional: list[tuple[str, int]] = []
+def _parse_submit(words: list[str]) -> dict[str, Any]:
+    if len(words) < 5:
+        raise _Rejected(0, "submit takes <cid> <service> <verb> <target> [arg...]")
+    service, target = words[2], words[4]
+    verb = _arg(words, 3, _VERB)
+    positional: list[int] = []  # indexes of the words after target
     priority: int | None = None
     guard: str | None = None
-    for tok, c in rest[4:]:
-        if tok.startswith("prio="):
-            priority = _int(tok[5:], c, lineno, "priority")
-        elif tok.startswith("if="):
-            guard = tok[3:]
+    for i in range(5, len(words)):
+        word = words[i]
+        if word.startswith("prio="):
+            priority = _arg(words, i, lambda w: _int(w[5:], "priority"))
+        elif word.startswith("if="):
+            guard = word[3:]
             if not guard:
-                raise ParseError(lineno, c, "if= requires a guard name")
-        elif "=" in tok:
-            raise ParseError(lineno, c, f"unknown option {tok!r}")
+                raise _Rejected(i, "if= requires a guard name")
+        elif "=" in word:
+            raise _Rejected(i, f"unknown option {word!r}")
         else:
-            positional.append((tok, c))
-    lo, hi, names = _SUBMIT_ARGS[verb]
-    if not (lo <= len(positional) <= hi):
-        span = str(lo) if lo == hi else f"{lo}-{hi}"
-        raise ParseError(
-            lineno, col, f"{vtok} takes {span} argument(s) after target, got {len(positional)}"
+            positional.append(i)
+    lo, args = _SUBMIT_ARGS[verb]
+    if not lo <= len(positional) <= len(args):
+        span = str(lo) if lo == len(args) else f"{lo}-{len(args)}"
+        raise _Rejected(
+            0, f"{words[3]} takes {span} argument(s) after target, got {len(positional)}"
         )
-    params: dict[str, Any] = {
-        "cid": cid,
-        "service": service,
-        "verb": verb,
-        "target": target,
-        "priority": priority,
-        "guard": guard,
-        "owner": None,
-        "purpose": None,
-        "veracity": None,
-        "requester": None,
-        "payload": None,
-    }
-    for (tok, c), name in zip(positional, names):
-        if name == "veracity":
-            params[name] = _enum(_BOOLS, tok, c, lineno, "veracity")
-        else:
-            params[name] = tok
+    params = {"cid": words[1], "service": service, "verb": verb, "target": target,
+              "priority": priority, "guard": guard, **_NO_ARGS}
+    for i, (name, convert) in zip(positional, args):
+        params[name] = _arg(words, i, convert)
     if verb is Verb.SIGNOFF and target != service:
-        raise ParseError(
-            lineno, tcol, f"signoff target must be the service itself ({service!r})"
-        )
+        raise _Rejected(4, f"signoff target must be the service itself ({service!r})")
     return params
 
 
-_BUILDERS = {
-    "policy": _parse_policy,
-    "network": _parse_network,
-    "purpose": _parse_purpose,
-    "signup": _parse_signup,
-    "assign": _parse_assign,
-    "assignment": _parse_assignment,
-    "finish-assignment": _parse_finish,
-    "detail": _parse_detail,
-    "ttl": _parse_ttl,
-    "submit": _parse_submit,
-    "guard": _parse_guard,
-    "complete": _parse_complete,
-    "tick": _parse_tick,
-    "snapshot": _parse_snapshot,
+_BUILDERS: dict[str, Callable[[list[str]], dict[str, Any]]] = {
+    verb: partial(_parse_fixed, spec=spec) for verb, spec in _FIXED.items()
 }
+_BUILDERS.update(submit=_parse_submit, complete=_parse_complete, tick=_parse_tick)
+
+COMMANDS: tuple[str, ...] = tuple(_BUILDERS)
+"""Every command word the grammar accepts."""

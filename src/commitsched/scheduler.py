@@ -202,7 +202,6 @@ class Scheduler:
         self.policy = policy
         self._active: dict[str, Commitment] = {}   # id -> commitment, activation order
         self._queue: dict[str, Commitment] = {}    # id -> commitment, queue order
-        self._clock = 0
         self._seen: set[str] = set()
         self._tally: dict[str, dict[LifecycleState, int]] = {}  # terminal outcomes
         self._next_seq = 0
@@ -220,10 +219,6 @@ class Scheduler:
     def queue(self) -> tuple[Commitment, ...]:
         return tuple(self._queue.values())
 
-    @property
-    def clock(self) -> int:
-        return self._clock
-
     def submit(self, c: Commitment) -> Decision:
         """Admit a pending commitment: activate it or queue it.
 
@@ -235,7 +230,6 @@ class Scheduler:
             raise DuplicateId(f"commitment id {c.id!r} already submitted")
         if c.state is not LifecycleState.PENDING:
             raise IllegalState(f"submit requires a pending commitment, got {c.state.value}")
-        self._clock = max(self._clock, c.arrival)
         self._seen.add(c.id)
         held = [x.id for x in self._held.conflicting(c) if same_scope(c, x)]
         waiting = (

@@ -1,10 +1,10 @@
 """Scenario-driven simulation.
 
-Runs a parsed scenario against a fresh (or seeded) world on a logical
-clock: the authority gate registers services, ``submit`` commands build
-commitments and push them through the scheduler, activation executes the
-governance action immediately, and a responsibility breach retires the
-commitment as Violated (releasing its scope like any completion).
+Runs a parsed scenario against a fresh world on a logical clock: the
+authority gate registers services, ``submit`` commands build commitments
+and push them through the scheduler, activation executes the governance
+action immediately, and a responsibility breach retires the commitment
+as Violated (releasing its scope like any completion).
 
 The clock advances only on ``tick`` commands, so commands in between
 share a time slice; same-tick submissions are linearized in file order.
@@ -32,7 +32,7 @@ from .model import (
     Verb,
     new_commitment,
 )
-from .scenario import _BUILDERS, Command, Scenario
+from .scenario import COMMANDS, Command, Scenario
 from .scheduler import DecisionKind, MonitoringReport, Policy, Scheduler
 from .trace import EventKind, ScheduleEvent, Trace
 from .world import (
@@ -73,8 +73,8 @@ def register(
 class _Sim:
     """Mutable state of one scenario run."""
 
-    def __init__(self, world: WorldState, policy_override: Policy | None):
-        self.world = world
+    def __init__(self, policy_override: Policy | None):
+        self.world = WorldState()
         self.policy_override = policy_override
         self.sched = Scheduler(policy_override or Policy.FCFS)
         self.clock = 0
@@ -191,7 +191,7 @@ class _Sim:
             requester=requester,
             payload=payload,
         )
-        creditor = detail.network if detail else _home_network(self.world, service)
+        creditor = detail.network if detail else self.world.member_networks(service)[0]
         commitment = new_commitment(
             cid,
             CommitmentKind.SOCIAL,
@@ -298,12 +298,7 @@ class _Sim:
 # Scenario command -> the ``_Sim`` method that runs it. Only the methods
 # are bound here: the model and world functions they call are looked up
 # at call time, so replacing a module attribute still takes effect.
-_HANDLERS = {verb: getattr(_Sim, "_do_" + verb.replace("-", "_")) for verb in _BUILDERS}
-
-
-def _home_network(world: WorldState, service: str) -> str:
-    networks = world.member_networks(service)
-    return networks[0] if networks else "-"
+_HANDLERS = {verb: getattr(_Sim, "_do_" + verb.replace("-", "_")) for verb in COMMANDS}
 
 
 def _snapshot_attrs(report: MonitoringReport) -> list[tuple[str, str]]:
@@ -318,14 +313,9 @@ def _snapshot_attrs(report: MonitoringReport) -> list[tuple[str, str]]:
     return attrs
 
 
-def run(
-    scenario: Scenario,
-    world: WorldState | None = None,
-    *,
-    policy_override: Policy | None = None,
-) -> RunResult:
-    """Execute a scenario and return its trace and final state."""
-    sim = _Sim(world if world is not None else WorldState(), policy_override)
+def run(scenario: Scenario, *, policy_override: Policy | None = None) -> RunResult:
+    """Execute a scenario from an empty world; return its trace and final state."""
+    sim = _Sim(policy_override)
     for cmd in scenario.commands:
         sim.step(cmd)
     trace = Trace(tuple(sim.events), sim.clock)

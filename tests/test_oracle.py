@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from commitsched import oracle
+from commitsched.cli import main
 from commitsched.equivalence import run_grid
 from commitsched.errors import InstanceTooLarge
 from commitsched.oracle import (
@@ -142,7 +143,7 @@ def test_grid_of_three_is_clean():
     assert report.states_explored == 7104
 
 
-def test_grid_catches_a_wrong_activation_order(monkeypatch):
+def test_grid_catches_a_wrong_activation_order(monkeypatch, capsys):
     # Right waiters in the wrong order: the grid must report the drains of two.
     on_complete = Scheduler.on_complete
     monkeypatch.setattr(
@@ -151,6 +152,12 @@ def test_grid_catches_a_wrong_activation_order(monkeypatch):
     report = run_grid(3)
     assert report.mismatches
     assert all("oracle activates" in m for m in report.mismatches)
+    # Every completion order is a run; a failing one counts once, and the
+    # orders skipped after its failing prefix count as neither pass nor fail.
+    assert main(["oracle", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "combinations=584 runs=3584 states=7104"
+    assert lines[1].startswith("pass=3520 fail=32 ")
 
 
 # -- bounds -------------------------------------------------------------------------

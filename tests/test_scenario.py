@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from commitsched.cli import main
 from commitsched.errors import ParseError
 from commitsched.model import Privacy, Verb
 from commitsched.scenario import parse
@@ -127,3 +128,76 @@ def test_detail_shape():
     cmd = parse("detail email svcA fb private addr0").commands[0]
     assert cmd.params["privacy"] is Privacy.PRIVATE
     assert cmd.params["value"] == "addr0"
+
+
+# -- every diagnostic, pinned ----------------------------------------------------------
+# (text, line, column, message): one probe per rejection in the grammar, for
+# each enum label and integer bound, plus layout the column must survive.
+
+DIAGNOSTICS = [
+    ("policy sometimes", 1, 8, "bad policy 'sometimes' (expected fcfs|priority)"),
+    ("signup svcA fb maybe", 1, 16, "bad decision 'maybe' (expected accept|reject)"),
+    ("signup maybe fb maybe", 1, 17, "bad decision 'maybe' (expected accept|reject)"),
+    ("assign svcA resp9", 1, 13,
+     "bad responsibility 'resp9' (expected resp1|resp2|resp3|resp4|resp5)"),
+    ("finish-assignment a1 done", 1, 22, "bad status 'done' (expected complete|failed)"),
+    ("detail k owner net secretive v", 1, 20,
+     "bad privacy 'secretive' (expected private|public)"),
+    ("guard g1 yes", 1, 10, "bad guard value 'yes' (expected false|true)"),
+    ("submit c1 svcA fly wall", 1, 16,
+     "bad action verb 'fly' (expected collect|post|reveal|signoff|tamper)"),
+    ("submit c1 svcA post wall maybe", 1, 26, "bad veracity 'maybe' (expected false|true)"),
+    ("ttl soon", 1, 5, "bad ttl 'soon' (expected integer)"),
+    ("ttl -1", 1, 5, "ttl must be >= 0, got -1"),
+    ("tick x", 1, 6, "bad tick count 'x' (expected integer)"),
+    ("tick 0", 1, 6, "tick count must be >= 1, got 0"),
+    ("network fb\nfrobnicate now", 2, 1, "unknown command 'frobnicate'"),
+    ("network", 1, 1, "network takes 1 argument(s), got 0"),
+    ("network a b#c", 1, 1, "network takes 1 argument(s), got 2"),
+    ("snapshot now", 1, 1, "snapshot takes 0 argument(s), got 1"),
+    ("signup svcA facebook", 1, 1, "signup takes 3 argument(s), got 2"),
+    ("complete", 1, 1, "complete takes <cid> [failed]"),
+    ("complete c1 failed now", 1, 1, "complete takes <cid> [failed]"),
+    ("complete c1 badly", 1, 13, "expected 'failed', got 'badly'"),
+    ("tick 1 2", 1, 1, "tick takes at most one argument"),
+    ("submit c1 svcA post", 1, 1,
+     "submit takes <cid> <service> <verb> <target> [arg...]"),
+    ("submit c1 svcA post wall true if=", 1, 31, "if= requires a guard name"),
+    ("submit c1 svcA post wall true speed=9", 1, 31, "unknown option 'speed=9'"),
+    ("submit c1 svcA post wall speed=9 maybe", 1, 26, "unknown option 'speed=9'"),
+    ("submit c1 svcA collect email svcB", 1, 1,
+     "collect takes 2 argument(s) after target, got 1"),
+    ("submit c1 svcA post wall", 1, 1, "post takes 1-2 argument(s) after target, got 0"),
+    ("submit c1 svcA signoff svcA extra", 1, 1,
+     "signoff takes 0 argument(s) after target, got 1"),
+    ("submit svcB svcA signoff svcB", 1, 26,
+     "signoff target must be the service itself ('svcA')"),
+    ("submit c1 svcA post wall true prio=x", 1, 31, "bad priority 'x' (expected integer)"),
+    ("submit c1 svcA post wall true if=g prio=-1", 1, 36, "priority must be >= 0, got -1"),
+    ("submit c1 svcA fly wall speed=9", 1, 16,
+     "bad action verb 'fly' (expected collect|post|reveal|signoff|tamper)"),
+    ("  submit  c1 svcA   post wall maybe   # note", 1, 31,
+     "bad veracity 'maybe' (expected false|true)"),
+    ("\tguard\tg1\tyes", 1, 11, "bad guard value 'yes' (expected false|true)"),
+    ("network fb\n\n  tick   0\n", 3, 10, "tick count must be >= 1, got 0"),
+    ("# heading\npolicy fcfs # fine\nttl 3#4 5\nttl x\n", 4, 5,
+     "bad ttl 'x' (expected integer)"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", DIAGNOSTICS)
+def test_diagnostic_is_pinned(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, str(err.value)) == (
+        line, column, f"line {line}, col {column}: {message}"
+    )
+
+
+def test_cli_check_reports_the_located_diagnostic(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text("network fb\npolicy fcfs\n  tick   0\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3, col 10: tick count must be >= 1, got 0\n"

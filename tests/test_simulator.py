@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from commitsched.errors import AlreadyMember, ScenarioRuntimeError, UnknownNetwork
-from commitsched.scenario import _BUILDERS, Command, Scenario, parse
+from commitsched.scenario import COMMANDS, Command, Scenario, parse
 from commitsched.scheduler import Policy
 from commitsched.scenarios import load_text
 from commitsched.simulator import _HANDLERS, register, run
@@ -76,7 +76,7 @@ def test_rejected_service_cannot_submit():
 
 
 def test_every_scenario_command_has_a_handler():
-    assert set(_HANDLERS) == set(_BUILDERS)
+    assert set(_HANDLERS) == set(COMMANDS)
 
 
 def test_unknown_command_names_its_line():
