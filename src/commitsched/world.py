@@ -12,10 +12,22 @@ equality and ``repr``: the networks of each member service, and the
 collection records of each detail key in approval order. The invariant
 is that they are exactly what a scan of ``members`` and ``collections``
 would give. The constructor builds them; each ``with_*``/``without_*``
-helper hands them on to the new value, or a copy with its own change
-applied, so no index is ever mutated once a value holds it (a persistent
-structure in the sense of Driscoll, Sarnak, Sleator & Tarjan, 1989).
-Assignments are few and stay scanned.
+helper hands them on to the new value, or a new version with its own
+change applied. Assignments are few and stay scanned.
+
+Posts, new details and collects are O(1). ``details`` and the records
+index are ``VersionedMap`` values: persistent maps by shallow binding
+(Baker, "Shallow binding makes functional arrays fast", SIGPLAN Notices
+26(8), 1991; Conchon & Filliatre, "A persistent union-find data
+structure", ML Workshop 2007). The newest version of a map owns one
+mutable dict; every older version holds one undo entry pointing towards
+it. Reading an older version reroots: it replays the undo entries
+between it and the current owner into the dict and reverses them, so it
+costs O(versions between the two) once, and the next read of the newer
+version pays the same way back. ``collections`` is a ``RecordLog``, a
+sequence view of one more such map, keyed by approval index.
+Because a read may reroot, a read mutates shared structure: world values
+are single-threaded, like the scheduler that drives them.
 
 Responsibilities enforced here:
   resp1  collecting a detail needs a valid purpose and network membership
@@ -28,6 +40,7 @@ Responsibilities enforced here:
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,6 +59,125 @@ from .errors import (
 from .model import Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
+
+_ABSENT = object()
+
+
+class VersionedMap(Mapping):
+    """Persistent map: ``set`` returns a new version in O(1), every version stays readable.
+
+    Exactly one version of a family is the root and holds the dict
+    (``_data``). Any other version holds ``_next``, the version it was
+    derived from or rerooted past, and the value ``_key`` has here
+    (``_ABSENT`` when missing); all else equals ``_next``. ``_reroot``
+    makes a version the root by walking to the current one and reversing
+    the undo entries on the way back. Every read checks ``_data`` first, so
+    reading the root costs one attribute load more than a dict read.
+    """
+
+    __slots__ = ("_data", "_key", "_value", "_next")
+
+    def __init__(self, items=()):
+        self._data = dict(items)
+        self._next = None
+
+    def _reroot(self) -> dict:
+        path = []
+        node = self
+        while node._data is None:
+            path.append(node)
+            node = node._next
+        data = node._data
+        for version in reversed(path):
+            # The dict first: if it raises, no pointer has moved yet.
+            key, value = version._key, version._value
+            undo = data.get(key, _ABSENT)
+            if value is _ABSENT:
+                del data[key]
+            else:
+                data[key] = value
+            node._data, node._next, node._key, node._value = None, version, key, undo
+            version._data, version._next = data, None
+            node = version
+        return data
+
+    def set(self, key, value) -> "VersionedMap":
+        """A new version with ``key`` bound to ``value``; this one keeps its binding."""
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        new = VersionedMap.__new__(VersionedMap)
+        new._data, new._next = data, None
+        undo = data.get(key, _ABSENT)
+        data[key] = value
+        self._data, self._next, self._key, self._value = None, new, key, undo
+        return new
+
+    def get(self, key, default=None):
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        return data.get(key, default)
+
+    def __contains__(self, key) -> bool:
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        return key in data
+
+    def __getitem__(self, key):
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        return data[key]
+
+    def __iter__(self):
+        # Over a copy of the keys: a read of another version mid-iteration reroots.
+        return iter(tuple(self._data if self._data is not None else self._reroot()))
+
+    def __len__(self) -> int:
+        return len(self._data if self._data is not None else self._reroot())
+
+    def __repr__(self) -> str:
+        return repr(self._data if self._data is not None else self._reroot())
+
+
+class RecordLog(Sequence):
+    """Append-only sequence: the items of a ``VersionedMap`` keyed 0..len-1.
+
+    ``appended`` is one ``set`` on that map, so it is O(1) and every
+    version shares the map. Equal to, and indexed like, the tuple of its
+    items in append order.
+    """
+
+    __slots__ = ("_items", "_len")
+
+    def __init__(self, items=()):
+        self._items = VersionedMap(enumerate(items))
+        self._len = len(self._items)
+
+    def appended(self, item) -> "RecordLog":
+        log = RecordLog.__new__(RecordLog)
+        log._items, log._len = self._items.set(self._len, item), self._len + 1
+        return log
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        items = self._items
+        return iter([items[i] for i in range(self._len)])
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RecordLog, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class AssignmentStatus(Enum):
@@ -101,16 +233,14 @@ class WorldState:
 
     networks: frozenset[str] = frozenset()
     members: frozenset[tuple[str, str]] = frozenset()
-    details: dict[str, Detail] = field(default_factory=dict)
-    collections: tuple[CollectionRecord, ...] = ()
+    details: Mapping[str, Detail] = field(default_factory=dict)
+    collections: Sequence[CollectionRecord] = ()
     assignments: tuple[Assignment, ...] = ()
     purposes: dict[str, frozenset[str]] = field(default_factory=dict)
     reveal_ttl: int = DEFAULT_REVEAL_TTL
     # Derived from ``members`` and ``collections``; see the module docstring.
     _networks_of: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
-    _records_of: dict[str, tuple[CollectionRecord, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    _records_of: VersionedMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         networks_of: dict[str, frozenset[str]] = {}
@@ -119,8 +249,11 @@ class WorldState:
         records_of: dict[str, tuple[CollectionRecord, ...]] = {}
         for r in self.collections:
             records_of[r.detail_key] = records_of.get(r.detail_key, ()) + (r,)
+        # The versioned values own copies: no caller's dict is ever written.
+        object.__setattr__(self, "details", VersionedMap(self.details))
+        object.__setattr__(self, "collections", RecordLog(self.collections))
         object.__setattr__(self, "_networks_of", networks_of)
-        object.__setattr__(self, "_records_of", records_of)
+        object.__setattr__(self, "_records_of", VersionedMap(records_of))
 
     # -- queries ----------------------------------------------------------
 
@@ -151,7 +284,7 @@ class WorldState:
             if a.service == service and a.status is AssignmentStatus.ONGOING
         )
 
-    # -- updates (copy-on-write) -------------------------------------------
+    # -- updates (each returns a new value; the input is unchanged) ---------
 
     def with_network(self, name: str) -> "WorldState":
         return _evolve(self, networks=self.networks | {name})
@@ -192,14 +325,14 @@ class WorldState:
             raise OwnerNotMember(
                 f"owner {detail.owner!r} is not a member of {detail.network!r}"
             )
-        return _evolve(self, details={**self.details, detail.key: detail})
+        return _evolve(self, details=self.details.set(detail.key, detail))
 
     def with_detail_value(self, key: str, value: str, veracity: bool) -> "WorldState":
         d = self.details.get(key)
         if d is None:
             raise UnknownDetail(f"no detail {key!r}")
         updated = _evolve(d, value=value, veracity=veracity)
-        return _evolve(self, details={**self.details, key: updated})
+        return _evolve(self, details=self.details.set(key, updated))
 
     def with_collection(self, record: CollectionRecord) -> "WorldState":
         key = record.detail_key
@@ -207,8 +340,8 @@ class WorldState:
             raise UnknownDetail(f"no detail {key!r}")
         return _evolve(
             self,
-            collections=self.collections + (record,),
-            _records_of={**self._records_of, key: self.records_for(key) + (record,)},
+            collections=self.collections.appended(record),
+            _records_of=self._records_of.set(key, self.records_for(key) + (record,)),
         )
 
     def with_assignment(self, assignment: Assignment) -> "WorldState":

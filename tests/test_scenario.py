@@ -19,13 +19,6 @@ def test_two_commands():
     assert scenario.commands[1].params == {"name": "facebook"}
 
 
-def test_bad_policy_enum():
-    with pytest.raises(ParseError) as err:
-        parse("policy sometimes")
-    assert err.value.line == 1
-    assert "sometimes" in str(err.value)
-
-
 def test_empty_scenario_runs_to_empty_trace():
     result = run(parse(""))
     assert result.trace.events == ()
@@ -35,29 +28,6 @@ def test_empty_scenario_runs_to_empty_trace():
 def test_comments_and_blanks_ignored():
     scenario = parse("# heading\n\nnetwork fb  # trailing note\n   \n")
     assert [c.verb for c in scenario.commands] == ["network"]
-
-
-def test_unknown_command_located():
-    with pytest.raises(ParseError) as err:
-        parse("network fb\nfrobnicate now\n")
-    assert err.value.line == 2
-    assert err.value.column == 1
-
-
-def test_arity_checked():
-    with pytest.raises(ParseError):
-        parse("signup svcA facebook")
-
-
-def test_privacy_enum_checked():
-    with pytest.raises(ParseError) as err:
-        parse("detail k owner net secretive v")
-    assert "secretive" in str(err.value)
-
-
-def test_ttl_requires_integer():
-    with pytest.raises(ParseError):
-        parse("ttl soon")
 
 
 def test_tick_requires_positive():
@@ -80,18 +50,9 @@ def test_submit_post_veracity_enum():
     cmd = parse("submit c1 svcA post wall true hello").commands[0]
     assert cmd.params["veracity"] is True
     assert cmd.params["payload"] == "hello"
-    with pytest.raises(ParseError):
-        parse("submit c1 svcA post wall maybe")
-
-
-def test_submit_collect_arity():
-    with pytest.raises(ParseError):
-        parse("submit c1 svcA collect email svcB")  # missing purpose
 
 
 def test_submit_signoff_target_must_match_service():
-    with pytest.raises(ParseError):
-        parse("submit c1 svcA signoff svcB")
     cmd = parse("submit c1 svcA signoff svcA").commands[0]
     assert cmd.params["target"] == "svcA"
 
@@ -101,27 +62,13 @@ def test_submit_reveal_needs_requester():
         parse("submit c1 svcA reveal email")
 
 
-def test_submit_unknown_option():
-    with pytest.raises(ParseError):
-        parse("submit c1 svcA post wall true speed=9")
-
-
-def test_submit_negative_priority_rejected():
-    with pytest.raises(ParseError):
-        parse("submit c1 svcA post wall true prio=-1")
-
-
 def test_complete_forms():
     assert parse("complete c1").commands[0].params == {"cid": "c1", "failed": False}
     assert parse("complete c1 failed").commands[0].params == {"cid": "c1", "failed": True}
-    with pytest.raises(ParseError):
-        parse("complete c1 badly")
 
 
 def test_guard_values():
     assert parse("guard g1 true").commands[0].params == {"name": "g1", "value": True}
-    with pytest.raises(ParseError):
-        parse("guard g1 yes")
 
 
 def test_detail_shape():
@@ -152,6 +99,7 @@ DIAGNOSTICS = [
     ("tick x", 1, 6, "bad tick count 'x' (expected integer)"),
     ("tick 0", 1, 6, "tick count must be >= 1, got 0"),
     ("network fb\nfrobnicate now", 2, 1, "unknown command 'frobnicate'"),
+    ("network fb\nfrobnicate now\n", 2, 1, "unknown command 'frobnicate'"),
     ("network", 1, 1, "network takes 1 argument(s), got 0"),
     ("network a b#c", 1, 1, "network takes 1 argument(s), got 2"),
     ("snapshot now", 1, 1, "snapshot takes 0 argument(s), got 1"),
@@ -172,8 +120,11 @@ DIAGNOSTICS = [
      "signoff takes 0 argument(s) after target, got 1"),
     ("submit svcB svcA signoff svcB", 1, 26,
      "signoff target must be the service itself ('svcA')"),
+    ("submit c1 svcA signoff svcB", 1, 24,
+     "signoff target must be the service itself ('svcA')"),
     ("submit c1 svcA post wall true prio=x", 1, 31, "bad priority 'x' (expected integer)"),
     ("submit c1 svcA post wall true if=g prio=-1", 1, 36, "priority must be >= 0, got -1"),
+    ("submit c1 svcA post wall true prio=-1", 1, 31, "priority must be >= 0, got -1"),
     ("submit c1 svcA fly wall speed=9", 1, 16,
      "bad action verb 'fly' (expected collect|post|reveal|signoff|tamper)"),
     ("  submit  c1 svcA   post wall maybe   # note", 1, 31,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections.abc import Mapping
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from commitsched.errors import (
     AlreadyMember,
@@ -283,17 +286,22 @@ def test_double_membership_rejected(small_world):
 
 # -- violation atomicity -----------------------------------------------------------------
 
+def _plain(w: WorldState) -> dict:
+    """The constructor arguments of ``w`` as plain dicts, tuples and frozensets."""
+    return {
+        "networks": w.networks,
+        "members": w.members,
+        "details": dict(w.details),
+        "collections": tuple(w.collections),
+        "assignments": w.assignments,
+        "purposes": dict(w.purposes),
+        "reveal_ttl": w.reveal_ttl,
+    }
+
+
 def _rebuilt(w: WorldState) -> WorldState:
     """A world constructed directly from the public fields of ``w``."""
-    return WorldState(
-        networks=w.networks,
-        members=w.members,
-        details=dict(w.details),
-        collections=w.collections,
-        assignments=w.assignments,
-        purposes=dict(w.purposes),
-        reveal_ttl=w.reveal_ttl,
-    )
+    return WorldState(**_plain(w))
 
 
 def test_violations_leave_world_untouched(small_world):
@@ -428,8 +436,15 @@ def _scanned(w: WorldState):
 
 
 def _frozen_view(w: WorldState) -> dict:
-    """Every attribute of ``w``, derived indexes included, with dicts copied."""
-    return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(w).items()}
+    """Every attribute of ``w``, derived indexes included, copied as plain values.
+
+    Mappings become dicts and ``collections`` a tuple, so a value shared
+    between versions is read as this version sees it, not kept by reference.
+    """
+    return {
+        k: dict(v) if isinstance(v, Mapping) else tuple(v) if k == "collections" else v
+        for k, v in vars(w).items()
+    }
 
 
 @given(steps=st.lists(_steps, max_size=30))
@@ -455,3 +470,90 @@ def test_indexes_match_scans_after_every_step(steps):
         rebuilt = _rebuilt(w)
         assert rebuilt == w
         assert _answers(rebuilt) == _answers(w)
+
+
+# -- versions ------------------------------------------------------------------------------
+
+def _outcome(w: WorldState, step):
+    try:
+        return _apply(w, step)
+    except EngineError:
+        return None
+
+
+def _check_version(w: WorldState, plain: dict):
+    assert _plain(w) == plain
+    assert [w.records_for(k) for k in _KEYS] == [
+        tuple(r for r in plain["collections"] if r.detail_key == k) for k in _KEYS
+    ]
+
+
+@settings(deadline=None)
+@given(steps=st.lists(_steps, max_size=15), data=st.data())
+def test_older_versions_read_and_write_as_themselves(steps, data):
+    # Every write is repeated on a world built afresh from the reference's
+    # plain copy, so the reference never shares a versioned value.
+    w = WorldState().with_network("fb").with_network("li")
+    w = w.with_purpose("fb", "analytics").with_purpose("li", "analytics")
+    w = w.with_member("svcA", "fb").with_member("svcB", "fb").with_member("svcC", "li")
+    w = w.with_detail(Detail("email", "svcA", "fb", Privacy.PUBLIC, "addr0"))
+    worlds, plains = [w], [_plain(w)]
+
+    def write(i, step):
+        result = _outcome(worlds[i], step)
+        expected = _outcome(WorldState(**plains[i]), step)
+        if isinstance(expected, WorldState):
+            assert isinstance(result, WorldState)
+            worlds.append(result)
+            plains.append(_plain(expected))
+            _check_version(result, plains[-1])
+        else:
+            assert result == expected
+
+    for step in steps:
+        write(len(worlds) - 1, step)
+    version = st.integers(0, len(worlds) - 1)
+    for _ in range(data.draw(st.integers(0, 20), label="visits")):
+        i = data.draw(version, label="version")
+        action = data.draw(st.sampled_from(("read", "write", "compare")), label="action")
+        if action == "read":
+            _check_version(worlds[i], plains[i])
+        elif action == "write":
+            write(i, data.draw(_steps, label="step"))
+        else:
+            j = data.draw(version, label="other")
+            assert (worlds[i] == worlds[j]) == (plains[i] == plains[j])
+    # The newest version after the oldest was rerooted, and back.
+    _check_version(worlds[0], plains[0])
+    _check_version(worlds[-1], plains[-1])
+    _check_version(worlds[0], plains[0])
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_writes_allocate_independently_of_world_size():
+    # A copy of ``details`` or of the records index would allocate hundreds
+    # of KiB at this size; one write needs about one KiB.
+    n = 20_000
+    keys = [f"d{i}" for i in range(n)]
+    w = WorldState(
+        networks=frozenset({"fb"}),
+        members=frozenset({("svcA", "fb"), ("svcB", "fb")}),
+        details={k: Detail(k, "svcA", "fb", Privacy.PUBLIC, "v0") for k in keys},
+        collections=tuple(CollectionRecord(k, "svcB", "analytics", 0, "v0") for k in keys),
+        purposes={"fb": frozenset({"analytics"})},
+    )
+    budget = 16 * 1024
+    assert _peak_bytes(lambda: exec_post(w, "svcA", "d7", True, t=1, value="v1")) <= budget
+    assert _peak_bytes(lambda: exec_collect(w, "svcB", "d7", "analytics", t=1)) <= budget
+    new = Detail("fresh", "svcA", "fb", Privacy.PUBLIC, "v0")
+    assert _peak_bytes(lambda: w.with_detail(new)) <= budget
