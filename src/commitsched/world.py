@@ -71,8 +71,8 @@ class VersionedMap(Mapping):
     derived from or rerooted past, and the value ``_key`` has here
     (``_ABSENT`` when missing); all else equals ``_next``. ``_reroot``
     makes a version the root by walking to the current one and reversing
-    the undo entries on the way back. Every read checks ``_data`` first, so
-    reading the root costs one attribute load more than a dict read.
+    the undo entries on the way back; every read checks ``_data`` first
+    and reroots only when it is None.
     """
 
     __slots__ = ("_data", "_key", "_value", "_next")
@@ -146,8 +146,10 @@ class RecordLog(Sequence):
     """Append-only sequence: the items of a ``VersionedMap`` keyed 0..len-1.
 
     ``appended`` is one ``set`` on that map, so it is O(1) and every
-    version shares the map. Equal to, and indexed like, the tuple of its
-    items in append order.
+    version shares the map. Unlike a linked list, it adds no object per
+    item that outlives its version: such survivors advance the garbage
+    collector's full collections. Equal to, and indexed like, the tuple of
+    its items in append order.
     """
 
     __slots__ = ("_items", "_len")
