@@ -19,6 +19,13 @@ def test_two_commands():
     assert scenario.commands[1].params == {"name": "facebook"}
 
 
+def test_bad_policy_enum():
+    with pytest.raises(ParseError) as err:
+        parse("policy sometimes")
+    assert err.value.line == 1
+    assert "sometimes" in str(err.value)
+
+
 def test_empty_scenario_runs_to_empty_trace():
     result = run(parse(""))
     assert result.trace.events == ()
@@ -28,6 +35,22 @@ def test_empty_scenario_runs_to_empty_trace():
 def test_comments_and_blanks_ignored():
     scenario = parse("# heading\n\nnetwork fb  # trailing note\n   \n")
     assert [c.verb for c in scenario.commands] == ["network"]
+
+
+def test_arity_checked():
+    with pytest.raises(ParseError):
+        parse("signup svcA facebook")
+
+
+def test_privacy_enum_checked():
+    with pytest.raises(ParseError) as err:
+        parse("detail k owner net secretive v")
+    assert "secretive" in str(err.value)
+
+
+def test_ttl_requires_integer():
+    with pytest.raises(ParseError):
+        parse("ttl soon")
 
 
 def test_tick_requires_positive():
@@ -52,6 +75,11 @@ def test_submit_post_veracity_enum():
     assert cmd.params["payload"] == "hello"
 
 
+def test_submit_collect_arity():
+    with pytest.raises(ParseError):
+        parse("submit c1 svcA collect email svcB")  # missing purpose
+
+
 def test_submit_signoff_target_must_match_service():
     cmd = parse("submit c1 svcA signoff svcA").commands[0]
     assert cmd.params["target"] == "svcA"
@@ -60,6 +88,11 @@ def test_submit_signoff_target_must_match_service():
 def test_submit_reveal_needs_requester():
     with pytest.raises(ParseError):
         parse("submit c1 svcA reveal email")
+
+
+def test_submit_unknown_option():
+    with pytest.raises(ParseError):
+        parse("submit c1 svcA post wall true speed=9")
 
 
 def test_complete_forms():
