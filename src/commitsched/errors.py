@@ -36,10 +36,6 @@ class UnknownDetail(EngineError):
 
 # --- scheduler ----------------------------------------------------------
 
-class IllegalState(EngineError):
-    """Commitment is not in the state the operation requires."""
-
-
 class UnknownId(EngineError):
     """No active commitment with this id."""
 

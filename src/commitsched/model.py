@@ -9,13 +9,15 @@ machine, and the two derivations every commitment carries:
   * priority     - explicit override, else 10 for private target details
                    and 0 otherwise (private outranks public).
 
-All types are frozen dataclasses; ``transition`` returns a new value and
-never mutates its argument. Commitments are built and copied without
-``__init__``: ``new_commitment`` validates its arguments itself and
-``_evolve`` copies an already valid value, so both fill a fresh instance
-dictionary in one step (``_build``). Equality, hashing, ``repr`` and the
-frozen-attribute check stay the dataclass's own. ``ContentAction`` is
-built by its constructor, which validates it.
+All types are frozen dataclasses. A commitment carries no lifecycle
+state: the scheduler knows it from where the id lives, and
+``transition`` maps a state and an event to the next state by the legal
+table. So a commitment is built once and never copied. ``new_commitment``
+validates its arguments itself and fills a fresh instance dictionary in
+one step (``_build``), without ``__init__``; ``_evolve`` copies a world
+value the same way. Equality, hashing, ``repr`` and the frozen-attribute
+check stay the dataclass's own. ``ContentAction`` is built by its
+constructor, which validates it.
 
 Enums used as dictionary keys on the per-commitment path hash by
 identity (``__hash__ = object.__hash__``, computed without running Python
@@ -178,7 +180,6 @@ class Commitment:
     access: AccessClass
     priority: int
     arrival: int
-    state: LifecycleState = LifecycleState.PENDING
     target_owner: str | None = None
 
 
@@ -213,13 +214,14 @@ def derive_access_class(content: ContentAction) -> AccessClass:
 def derive_priority(
     content: ContentAction,
     explicit: int | None = None,
-    detail_privacy: Mapping[str, Privacy] | None = None,
+    privacy: Privacy | None = None,
 ) -> int:
     """Priority of a commitment: explicit override, else privacy-derived.
 
+    ``privacy`` is that of the target detail, None when there is none.
     Private target details map to PRIORITY_PRIVATE, public ones (and
     non-detail targets such as sign-off) to PRIORITY_PUBLIC. A detail
-    verb whose target cannot be resolved raises UnknownDetail.
+    verb without a target detail raises UnknownDetail.
     """
     if explicit is not None:
         if explicit < 0:
@@ -227,7 +229,6 @@ def derive_priority(
         return explicit
     if content.verb not in DETAIL_VERBS:
         return PRIORITY_PUBLIC
-    privacy = (detail_privacy or {}).get(content.target)
     if privacy is None:
         raise UnknownDetail(f"no detail {content.target!r} to derive priority from")
     return PRIORITY_PRIVATE if privacy is Privacy.PRIVATE else PRIORITY_PUBLIC
@@ -243,10 +244,12 @@ def new_commitment(
     *,
     explicit_priority: int | None = None,
     clock: int = 0,
-    detail_privacy: Mapping[str, Privacy] | None = None,
+    privacy: Privacy | None = None,
     target_owner: str | None = None,
 ) -> Commitment:
-    """Build a Pending commitment, deriving access class and priority.
+    """Build a commitment, deriving access class and priority.
+
+    ``privacy`` is that of the target detail (None when there is none).
 
     The responsibility must pair with the content verb (collect=resp1,
     post=resp2, tamper=resp3, signoff=resp4, reveal=resp5) and a sign-off
@@ -269,20 +272,19 @@ def new_commitment(
         "creditor": creditor,
         "content": content,
         "access": derive_access_class(content),
-        "priority": derive_priority(content, explicit_priority, detail_privacy),
+        "priority": derive_priority(content, explicit_priority, privacy),
         "arrival": clock,
-        "state": LifecycleState.PENDING,
         "target_owner": target_owner,
     })
 
 
-def transition(c: Commitment, event: TransitionEvent) -> Commitment:
-    """Apply a lifecycle event, returning the updated commitment.
+def transition(state: LifecycleState, event: TransitionEvent) -> LifecycleState:
+    """The state a lifecycle event leads to from ``state``.
 
-    Raises IllegalTransition (and leaves ``c`` untouched) when the event
-    is not legal from the current state; terminal states accept nothing.
+    Raises IllegalTransition when the event is not legal from ``state``;
+    terminal states accept nothing.
     """
-    nxt = _LEGAL_TRANSITIONS.get((c.state, event))
+    nxt = _LEGAL_TRANSITIONS.get((state, event))
     if nxt is None:
-        raise IllegalTransition(c.state, event)
-    return _evolve(c, state=nxt)
+        raise IllegalTransition(state, event)
+    return nxt

@@ -16,7 +16,10 @@ Design rules:
     priority, then arrival, then lexicographic id. Priority acts only at
     dequeue time.
   - The scheduler is a single-threaded state machine; callers serialize
-    access. Commitments are immutable values, so snapshots are cheap.
+    access. It alone keeps the lifecycle: an id is active, queued, or
+    retired into the per-service tally of terminal states. Commitments
+    are immutable values that carry no state, so it stores, indexes and
+    returns the caller's own objects and never copies one.
 
 Active and queued commitments are each kept in a scope index, a lock
 table hashed by resource (Gray & Reuter, *Transaction Processing*, ch. 8):
@@ -47,7 +50,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import DuplicateId, IllegalState, NonEmptyQueue, UnknownId
+from .errors import DuplicateId, NonEmptyQueue, UnknownId
 from .model import (
     AccessClass,
     Commitment,
@@ -220,7 +223,7 @@ class Scheduler:
         return tuple(self._queue.values())
 
     def submit(self, c: Commitment) -> Decision:
-        """Admit a pending commitment: activate it or queue it.
+        """Admit a pending commitment (an id never submitted): activate or queue it.
 
         Blockers list every conflicting same-scope commitment, active
         ones first (in activation order) then queued ones (in queue
@@ -228,8 +231,6 @@ class Scheduler:
         """
         if c.id in self._seen:
             raise DuplicateId(f"commitment id {c.id!r} already submitted")
-        if c.state is not LifecycleState.PENDING:
-            raise IllegalState(f"submit requires a pending commitment, got {c.state.value}")
         self._seen.add(c.id)
         held = [x.id for x in self._held.conflicting(c) if same_scope(c, x)]
         waiting = (
@@ -237,15 +238,13 @@ class Scheduler:
             if self._queue else []
         )
         if not (held or waiting):
-            self._activate(transition(c, TransitionEvent.ACTIVATE))
+            self._activate(c)
             return _EXECUTE
-        queued = transition(c, TransitionEvent.ENQUEUE)
-        seq = self._take_seq(queued.id)
-        self._queue[queued.id] = queued
-        self._waiting.add(seq, queued)
-        self._blocked_by[queued.id] = len(held)
+        self._queue[c.id] = c
+        self._waiting.add(self._take_seq(c.id), c)
+        self._blocked_by[c.id] = len(held)
         if not held:
-            self._ready.add(queued.id)
+            self._ready.add(c.id)
         return Decision(DecisionKind.WAIT, tuple(held + waiting))
 
     def on_complete(self, cid: str, outcome: LifecycleState) -> list[Commitment]:
@@ -309,10 +308,11 @@ class Scheduler:
     def _retire(self, cid: str, event: TransitionEvent) -> list[Commitment]:
         if cid not in self._active:
             raise UnknownId(f"no active commitment {cid!r}")
-        retired = transition(self._active.pop(cid), event)
+        final = transition(LifecycleState.ACTIVE, event)
+        retired = self._active.pop(cid)
         self._held.remove(self._seq.pop(cid), retired)
         per_service = self._tally.setdefault(retired.debtor, {})
-        per_service[retired.state] = per_service.get(retired.state, 0) + 1
+        per_service[final] = per_service.get(final, 0) + 1
         if not self._queue:
             return []
         blocked_by = self._blocked_by
@@ -336,7 +336,6 @@ class Scheduler:
             chosen = queue.pop(qid)
             self._waiting.remove(seqs.pop(qid), chosen)
             del blocked_by[qid]
-            admitted = transition(chosen, TransitionEvent.ACTIVATE)
-            self._activate(admitted)
-            activated.append(admitted)
+            self._activate(chosen)
+            activated.append(chosen)
         return activated

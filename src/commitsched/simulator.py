@@ -201,7 +201,7 @@ class _Sim:
             content,
             explicit_priority=priority,
             clock=self.clock,
-            detail_privacy={target: detail.privacy} if detail else None,
+            privacy=detail.privacy if detail else None,
             target_owner=detail.owner if detail else None,
         )
         self.claimed_ids.add(cid)
@@ -223,7 +223,7 @@ class _Sim:
                 ("blockers", ",".join(decision.blockers)),
             )
         else:
-            self._process_activations([self.sched.active[cid]])
+            self._process_activations([commitment])
 
     # -- activation / governance --------------------------------------------
 

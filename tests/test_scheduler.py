@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commitsched.errors import DuplicateId, IllegalState, NonEmptyQueue, UnknownId
-from commitsched.model import (
-    AccessClass,
-    LifecycleState,
-    TransitionEvent,
-    Verb,
-    transition,
-)
+from commitsched.errors import DuplicateId, NonEmptyQueue, UnknownId
+from commitsched.model import AccessClass, LifecycleState, Verb
 from commitsched.oracle import MiniCommitment, ReferenceScheduler
 from commitsched.relations import classify, conflicts, same_scope
 from commitsched.scheduler import (
@@ -30,10 +24,11 @@ W = AccessClass.WRITER
 
 def test_empty_scheduler_executes():
     s = Scheduler()
-    d = s.submit(make_commitment("c1", R, "email"))
+    c1 = make_commitment("c1", R, "email")
+    d = s.submit(c1)
     assert d.kind is DecisionKind.EXECUTE
     assert d.blockers == ()
-    assert s.active["c1"].state is LifecycleState.ACTIVE
+    assert s.active["c1"] is c1
 
 
 def test_reader_joins_active_reader():
@@ -47,10 +42,10 @@ def test_reader_joins_active_reader():
 def test_reader_waits_behind_active_writer():
     s = Scheduler()
     s.submit(make_commitment("c1", W, "email"))
-    d = s.submit(make_commitment("c2", R, "email", arrival=1))
+    c2 = make_commitment("c2", R, "email", arrival=1)
+    d = s.submit(c2)
     assert d == Decision(DecisionKind.WAIT, ("c1",))
-    assert [c.id for c in s.queue] == ["c2"]
-    assert s.queue[0].state is LifecycleState.WAITING
+    assert s.queue == (c2,) and s.queue[0] is c2
 
 
 def test_no_barging_past_queued_writer():
@@ -76,10 +71,23 @@ def test_duplicate_id_rejected():
 
 
 def test_submit_requires_pending():
+    # Pending means never submitted: an id is refused while queued, while
+    # active and after it retired, and the refusal changes nothing.
     s = Scheduler()
-    c = transition(make_commitment("c1", R, "d"), TransitionEvent.ACTIVATE)
-    with pytest.raises(IllegalState):
+    for c in (
+        make_commitment("w1", W, "d"),
+        make_commitment("r2", R, "d", arrival=1),
+        make_commitment("x3", W, "e", arrival=2),
+    ):
         s.submit(c)
+    s.on_complete("x3", LifecycleState.COMPLETED)
+    for cid in ("r2", "w1", "x3"):  # queued, active, retired
+        queue, active, report = s.queue, dict(s.active), s.snapshot()
+        with pytest.raises(DuplicateId):
+            s.submit(make_commitment(cid, R, "f", arrival=3))
+        assert s.queue == queue and dict(s.active) == active
+        assert s.snapshot() == report
+    assert [c.id for c in s.on_complete("w1", LifecycleState.COMPLETED)] == ["r2"]
 
 
 def test_unknown_completion_rejected():
@@ -97,6 +105,46 @@ def test_queued_completion_rejected():
         s.on_complete("r2", LifecycleState.COMPLETED)
     assert s.queue == queue
     assert dict(s.active) == active
+
+
+def test_scheduler_holds_and_returns_the_submitted_objects():
+    # The scheduler keeps the lifecycle itself: every commitment it holds
+    # or hands back is the very object submitted, through a drain cascade.
+    made = {
+        c.id: c
+        for c in (
+            make_commitment("w1", W, "d", target_owner="svcB"),
+            make_commitment("x2", W, "e", arrival=1),
+            make_commitment("r3", R, "d", arrival=2, target_owner="svcB"),
+            make_commitment("r4", R, "d", arrival=3, target_owner="svcB"),
+            make_commitment("w5", W, "d", arrival=4, target_owner="svcB"),
+            make_commitment("y6", W, "e", arrival=5),
+            make_commitment("off", W, debtor="svcB", verb=Verb.SIGNOFF, arrival=6),
+        )
+    }
+
+    def held_as_submitted():
+        assert all(c is made[cid] for cid, c in s.active.items())
+        assert all(c is made[c.id] for c in s.queue)
+
+    s = Scheduler()
+    for c in made.values():
+        s.submit(c)
+    assert list(s.active) == ["w1", "x2"]
+    held_as_submitted()
+    steps = (
+        (lambda: s.on_complete("w1", LifecycleState.COMPLETED), ["r3", "r4"]),
+        (lambda: s.on_violation("x2"), ["y6"]),
+        (lambda: s.on_complete("r3", LifecycleState.FAILED), []),
+        (lambda: s.on_complete("r4", LifecycleState.COMPLETED), ["w5"]),
+        (lambda: s.on_violation("w5"), ["off"]),
+    )
+    for retire, expected in steps:
+        activated = retire()
+        assert [c.id for c in activated] == expected
+        assert all(c is made[c.id] for c in activated)
+        held_as_submitted()
+    assert s.queue == () and list(s.active) == ["y6", "off"]
 
 
 # -- completion and queue service --------------------------------------------

@@ -3,25 +3,30 @@
 ``Pairwise`` is the scheduler written straight from its definition: every
 submission is checked with ``_blocks``, the ``relations`` rule, against
 every active and every queued commitment, and every retire drains with a
-``select_next`` loop. Random runs drive both side by side and compare
-every observable after every step, so the scope index, the blocker counts
-and the one-pass drain must reproduce the specification exactly, sign-off
-scopes included.
+``select_next`` loop. ``Pairwise`` keeps each id's lifecycle state and
+steps it with ``LEGAL``, the table of ``test_model.py``, so every move it
+makes is legal; its snapshot is a count of those states. Random runs
+drive both side by side and compare every observable after every step,
+the identity of every held and returned commitment included, so the
+scope index, the blocker counts and the one-pass drain must reproduce
+the specification exactly, sign-off scopes included. Retiring a queued
+or retired id must raise ``UnknownId`` and change nothing.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from commitsched.errors import UnknownId
 from commitsched.model import (
     AccessClass,
     Commitment,
     LifecycleState,
     TransitionEvent,
     Verb,
-    transition,
 )
 from commitsched.relations import classify, conflicts, same_scope
 from commitsched.scheduler import (
@@ -33,6 +38,7 @@ from commitsched.scheduler import (
 )
 
 from conftest import any_commitment, make_commitment
+from test_model import LEGAL
 
 RETIRE = {
     "complete": TransitionEvent.COMPLETE,
@@ -80,38 +86,40 @@ class Pairwise:
         self.policy = policy
         self.active: dict = {}
         self.queue: list = []
-        self.tally: dict = {}
+        self.state: dict[str, LifecycleState] = {}  # every submitted id
+        self.debtor: dict[str, str] = {}
+
+    def _move(self, cid: str, event: TransitionEvent) -> None:
+        self.state[cid] = LEGAL[(self.state.get(cid, LifecycleState.PENDING), event)]
 
     def submit(self, c) -> Decision:
+        self.debtor[c.id] = c.debtor
         blockers = [x.id for x in self.active.values() if _blocks(c, x)]
         blockers += [x.id for x in self.queue if _blocks(c, x)]
         if blockers:
-            self.queue.append(transition(c, TransitionEvent.ENQUEUE))
+            self._move(c.id, TransitionEvent.ENQUEUE)
+            self.queue.append(c)
             return Decision(DecisionKind.WAIT, tuple(blockers))
-        self.active[c.id] = transition(c, TransitionEvent.ACTIVATE)
+        self._move(c.id, TransitionEvent.ACTIVATE)
+        self.active[c.id] = c
         return Decision(DecisionKind.EXECUTE)
 
     def retire(self, cid: str, event: TransitionEvent) -> list:
-        retired = transition(self.active.pop(cid), event)
-        per = self.tally.setdefault(retired.debtor, {})
-        per[retired.state] = per.get(retired.state, 0) + 1
+        self._move(cid, event)
+        del self.active[cid]
         activated = []
         while (chosen := select_next(self.queue, self.active.values(), self.policy)) is not None:
+            self._move(chosen.id, TransitionEvent.ACTIVATE)
             self.queue.remove(chosen)
-            admitted = transition(chosen, TransitionEvent.ACTIVATE)
-            self.active[admitted.id] = admitted
-            activated.append(admitted)
+            self.active[chosen.id] = chosen
+            activated.append(chosen)
         return activated
 
     def snapshot(self) -> MonitoringReport:
-        counts = {svc: dict(states) for svc, states in self.tally.items()}
-        for state, group in (
-            (LifecycleState.ACTIVE, self.active.values()),
-            (LifecycleState.WAITING, self.queue),
-        ):
-            for c in group:
-                per = counts.setdefault(c.debtor, {})
-                per[state] = per.get(state, 0) + 1
+        counts: dict = {}
+        for cid, state in self.state.items():
+            per = counts.setdefault(self.debtor[cid], {})
+            per[state] = per.get(state, 0) + 1
         return MonitoringReport(counts, tuple(c.id for c in self.queue))
 
 
@@ -122,9 +130,15 @@ def _retire(s: Scheduler, cid: str, event: TransitionEvent) -> list:
     return s.on_complete(cid, outcome)
 
 
+def _identities(commitments) -> list[int]:
+    """Equal lists mean the very same objects in the same order."""
+    return [id(c) for c in commitments]
+
+
 def _assert_same_state(s: Scheduler, ref: Pairwise) -> None:
-    assert list(s.active.items()) == list(ref.active.items())
-    assert s.queue == tuple(ref.queue)
+    assert list(s.active) == list(ref.active)
+    assert _identities(s.active.values()) == _identities(ref.active.values())
+    assert _identities(s.queue) == _identities(ref.queue)
     assert s.snapshot() == ref.snapshot()
 
 
@@ -133,14 +147,21 @@ def _drive(data, s: Scheduler, ref: Pairwise, prefix: str, steps: int) -> None:
     submitted = 0
     for _ in range(steps):
         ops = ["submit"] * 2 + (list(RETIRE) if ref.active else [])
-        op = data.draw(st.sampled_from(ops), label="op")
+        inactive = sorted(set(ref.state) - set(ref.active))  # queued or retired
+        op = data.draw(st.sampled_from(ops + (["inactive"] if inactive else [])), label="op")
         if op == "submit":
             c = data.draw(any_commitment(f"{prefix}{submitted}"), label="commitment")
             submitted += 1
             assert s.submit(c) == ref.submit(c)
+        elif op == "inactive":
+            cid = data.draw(st.sampled_from(inactive), label=op)
+            event = data.draw(st.sampled_from(list(RETIRE.values())), label="event")
+            with pytest.raises(UnknownId):
+                _retire(s, cid, event)
         else:
             cid = data.draw(st.sampled_from(sorted(ref.active)), label=op)
-            assert _retire(s, cid, RETIRE[op]) == ref.retire(cid, RETIRE[op])
+            got = _retire(s, cid, RETIRE[op])
+            assert _identities(got) == _identities(ref.retire(cid, RETIRE[op]))
         _assert_same_state(s, ref)
 
 
@@ -181,7 +202,6 @@ def test_activation_from_the_queue_takes_a_fresh_sequence_number():
 
 def test_select_next_fcfs_earliest_arrival():
     queue = [make_commitment("c2", W, "d", arrival=1), make_commitment("c3", W, "d", arrival=2)]
-    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
     assert select_next(queue, [], Policy.FCFS).id == "c2"
 
 
@@ -190,7 +210,6 @@ def test_select_next_priority_highest():
         make_commitment("c2", W, "d", priority=0, arrival=1),
         make_commitment("c3", W, "d", priority=10, arrival=2),
     ]
-    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
     assert select_next(queue, [], Policy.PRIORITY).id == "c3"
 
 
@@ -199,11 +218,10 @@ def test_select_next_tie_breaks_on_id():
         make_commitment("c3", W, "d", priority=5, arrival=1),
         make_commitment("c2", W, "d", priority=5, arrival=1),
     ]
-    queue = [transition(c, TransitionEvent.ENQUEUE) for c in queue]
     assert select_next(queue, [], Policy.PRIORITY).id == "c2"
 
 
 def test_select_next_skips_conflicting():
-    active = [transition(make_commitment("a", W, "d"), TransitionEvent.ACTIVATE)]
-    queue = [transition(make_commitment("c2", W, "d", arrival=1), TransitionEvent.ENQUEUE)]
+    active = [make_commitment("a", W, "d")]
+    queue = [make_commitment("c2", W, "d", arrival=1)]
     assert select_next(queue, active, Policy.FCFS) is None

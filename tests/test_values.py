@@ -20,7 +20,6 @@ from commitsched.model import (
     TransitionEvent,
     Verb,
     new_commitment,
-    transition,
 )
 from commitsched.trace import EventKind, ScheduleEvent
 
@@ -74,7 +73,7 @@ def test_new_commitment_equals_the_constructed_value(args):
         content,
         explicit_priority=args["explicit_priority"],
         clock=args["clock"],
-        detail_privacy={content.target: privacy},
+        privacy=privacy,
         target_owner=args["target_owner"],
     )
     if args["explicit_priority"] is not None:
@@ -93,7 +92,6 @@ def test_new_commitment_equals_the_constructed_value(args):
         access=ACCESS_FOR_VERB[content.verb],
         priority=priority,
         arrival=args["clock"],
-        state=LifecycleState.PENDING,
         target_owner=args["target_owner"],
     )
     assert type(built) is Commitment
@@ -102,12 +100,9 @@ def test_new_commitment_equals_the_constructed_value(args):
     assert repr(built) == repr(constructed)
     assert dataclasses.astuple(built) == dataclasses.astuple(constructed)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        built.state = LifecycleState.ACTIVE
+        built.priority = 99
     with pytest.raises(dataclasses.FrozenInstanceError):
         del built.id
-    active = transition(built, TransitionEvent.ACTIVATE)
-    assert active == dataclasses.replace(constructed, state=LifecycleState.ACTIVE)
-    assert built.state is LifecycleState.PENDING
 
 
 attrs = st.lists(st.tuples(names, tokens), max_size=4).map(tuple)
