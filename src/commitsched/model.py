@@ -14,10 +14,10 @@ state: the scheduler knows it from where the id lives, and
 ``transition`` maps a state and an event to the next state by the legal
 table. So a commitment is built once and never copied. ``new_commitment``
 validates its arguments itself and fills a fresh instance dictionary in
-one step (``_build``), without ``__init__``; ``_evolve`` copies a world
-value the same way. Equality, hashing, ``repr`` and the frozen-attribute
-check stay the dataclass's own. ``ContentAction`` is built by its
-constructor, which validates it.
+one step (``_build``), without ``__init__``; ``_evolve`` copies a
+detail or an assignment of the world the same way. Equality, hashing,
+``repr`` and the frozen-attribute check stay the dataclass's own.
+``ContentAction`` is built by its constructor, which validates it.
 
 Enums used as dictionary keys on the per-commitment path hash by
 identity (``__hash__ = object.__hash__``, computed without running Python

@@ -4,7 +4,9 @@ Runs a parsed scenario against a fresh world on a logical clock: the
 authority gate registers services, ``submit`` commands build commitments
 and push them through the scheduler, activation executes the governance
 action immediately, and a responsibility breach retires the commitment
-as Violated (releasing its scope like any completion).
+as Violated (releasing its scope like any completion). The run owns the
+world store and the scheduler: it applies the write each governance
+check returns, and nothing after a breach.
 
 The clock advances only on ``tick`` commands, so commands in between
 share a time slice; same-tick submissions are linearized in file order.
@@ -57,17 +59,19 @@ class RunResult:
 
 def register(
     w: WorldState, service: str, network: str, accept: bool, clock: int = 0
-) -> tuple[WorldState, ScheduleEvent]:
+) -> ScheduleEvent:
     """Authority decision on a signup: membership on accept, none on reject.
 
     Either way the signup must name a known network and a service not yet
-    a member of it; ``with_member`` raises otherwise.
+    a member of it; the check raises before anything is written.
     """
-    joined = w.with_member(service, network)
-    attrs = (("network", network),)
     if accept:
-        return joined, ScheduleEvent(clock, EventKind.REGISTERED, service, attrs)
-    return w, ScheduleEvent(clock, EventKind.REJECTED, service, attrs)
+        w.with_member(service, network)
+        kind = EventKind.REGISTERED
+    else:
+        w.check_new_member(service, network)
+        kind = EventKind.REJECTED
+    return ScheduleEvent(clock, kind, service, (("network", network),))
 
 
 class _Sim:
@@ -112,14 +116,13 @@ class _Sim:
         self.sched.set_policy(policy)
 
     def _do_network(self, name: str) -> None:
-        self.world = self.world.with_network(name)
+        self.world.with_network(name)
 
     def _do_purpose(self, network: str, token: str) -> None:
-        self.world = self.world.with_purpose(network, token)
+        self.world.with_purpose(network, token)
 
     def _do_signup(self, service: str, network: str, accept: bool) -> None:
-        self.world, event = register(self.world, service, network, accept, self.clock)
-        self.events.append(event)
+        self.events.append(register(self.world, service, network, accept, self.clock))
 
     def _do_assign(self, service: str, responsibility) -> None:
         if not self.world.has_any_membership(service):
@@ -127,16 +130,16 @@ class _Sim:
         self.emit(EventKind.ASSIGNED, service, ("resp", responsibility.value))
 
     def _do_assignment(self, id: str, service: str) -> None:
-        self.world = self.world.with_assignment(Assignment(id, service))
+        self.world.with_assignment(Assignment(id, service))
 
     def _do_finish_assignment(self, id: str, status) -> None:
-        self.world = self.world.with_finished_assignment(id, status)
+        self.world.with_finished_assignment(id, status)
 
     def _do_detail(self, key, owner, network, privacy, value) -> None:
-        self.world = self.world.with_detail(Detail(key, owner, network, privacy, value))
+        self.world.with_detail(Detail(key, owner, network, privacy, value))
 
     def _do_ttl(self, ticks: int) -> None:
-        self.world = self.world.with_ttl(ticks)
+        self.world.with_ttl(ticks)
 
     def _do_guard(self, name: str, value: bool) -> None:
         self.guards[name] = value
@@ -175,7 +178,7 @@ class _Sim:
         if cid in self.claimed_ids:
             raise self.fail(f"commitment id {cid!r} already used")
         if not self.world.has_any_membership(service):
-            raise self.fail(f"{service!r} was never accepted into a network")
+            raise self.fail(f"{service!r} is a member of no network")
         if guard is not None and not self.guards.get(guard, False):
             self.claimed_ids.add(cid)
             self.emit(EventKind.REJECTED, cid, ("guard", guard))
@@ -252,7 +255,7 @@ class _Sim:
             )
             if isinstance(result, Violation):
                 return result
-            self.world, _ = result
+            self.world.with_collection(result)
             return None
         if verb is Verb.POST:
             return self._write(c, veracity=bool(c.content.veracity))
@@ -267,10 +270,8 @@ class _Sim:
             result = exec_signoff(self.world, c.debtor)
             if isinstance(result, Violation):
                 return result
-            self.world, networks = result
-            self.emit(
-                EventKind.SIGNEDOFF, c.debtor, ("network", ",".join(networks))
-            )
+            self.world.without_memberships(c.debtor)
+            self.emit(EventKind.SIGNEDOFF, c.debtor, ("network", ",".join(result)))
             return None
         if verb is Verb.REVEAL:
             result = exec_reveal(self.world, c.content.target, c.content.requester, self.clock)
@@ -291,7 +292,10 @@ class _Sim:
         )
         if isinstance(result, Violation):
             return result
-        self.world = result
+        if detail is None:
+            self.world.with_detail(result)
+        else:
+            self.world.with_detail_value(result)
         return None
 
 

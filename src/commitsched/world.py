@@ -1,33 +1,26 @@
 """Shared social-network state and the five responsibility checks.
 
 The world holds networks, memberships, owned details (each with a
-privacy level), approved collection records, and work assignments. The
-``exec_*`` functions run one commitment's content action against it and
-either return an updated world or a ``Violation`` naming the breached
-responsibility. A violation never changes the world: callers keep their
-input value, so atomicity is structural.
+privacy level), approved collection records, and work assignments. It
+is one mutable store with a single owner, the simulator, as the
+scheduler is: no caller reads an older state, so no write copies one.
 
-Every world value also carries two derived indexes, invisible to
-equality and ``repr``: the networks of each member service, and the
-collection records of each detail key in approval order. The invariant
-is that they are exactly what a scan of ``members`` and ``collections``
-would give. The constructor builds them; each ``with_*``/``without_*``
-helper hands them on to the new value, or a new version with its own
-change applied. Assignments are few and stay scanned.
+The ``exec_*`` checks are pure. Each reads the store and returns either
+a ``Violation`` naming the breached responsibility or the write it
+wants, which the owner applies with one ``with_*``/``without_*`` call.
+A violation therefore never changes the world. ``register`` in the
+simulator likewise validates a signup before it writes anything.
 
-Posts, new details and collects are O(1). ``details`` and the records
-index are ``VersionedMap`` values: persistent maps by shallow binding
-(Baker, "Shallow binding makes functional arrays fast", SIGPLAN Notices
-26(8), 1991; Conchon & Filliatre, "A persistent union-find data
-structure", ML Workshop 2007). The newest version of a map owns one
-mutable dict; every older version holds one undo entry pointing towards
-it. Reading an older version reroots: it replays the undo entries
-between it and the current owner into the dict and reverses them, so it
-costs O(versions between the two) once, and the next read of the newer
-version pays the same way back. ``collections`` is a ``RecordLog``, a
-sequence view of one more such map, keyed by approval index.
-Because a read may reroot, a read mutates shared structure: world values
-are single-threaded, like the scheduler that drives them.
+Next to the records themselves the store keeps three indexes, each
+updated by the write that changes what it is derived from, so every
+write and every check is O(1) in the size of the world:
+  members          the networks of each member service;
+  latest_approval  the newest approval tick of each collected detail;
+                   resp3 asks only whether a detail has one, and an
+                   approval younger than ``reveal_ttl`` exists exactly
+                   when the newest one is;
+  ongoing          the ongoing assignment ids of each service, in the
+                   order they were added.
 
 Responsibilities enforced here:
   resp1  collecting a detail needs a valid purpose and network membership
@@ -40,8 +33,7 @@ Responsibilities enforced here:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -59,127 +51,6 @@ from .errors import (
 from .model import Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
-
-_ABSENT = object()
-
-
-class VersionedMap(Mapping):
-    """Persistent map: ``set`` returns a new version in O(1), every version stays readable.
-
-    Exactly one version of a family is the root and holds the dict
-    (``_data``). Any other version holds ``_next``, the version it was
-    derived from or rerooted past, and the value ``_key`` has here
-    (``_ABSENT`` when missing); all else equals ``_next``. ``_reroot``
-    makes a version the root by walking to the current one and reversing
-    the undo entries on the way back; every read checks ``_data`` first
-    and reroots only when it is None.
-    """
-
-    __slots__ = ("_data", "_key", "_value", "_next")
-
-    def __init__(self, items=()):
-        self._data = dict(items)
-        self._next = None
-
-    def _reroot(self) -> dict:
-        path = []
-        node = self
-        while node._data is None:
-            path.append(node)
-            node = node._next
-        data = node._data
-        for version in reversed(path):
-            # The dict first: if it raises, no pointer has moved yet.
-            key, value = version._key, version._value
-            undo = data.get(key, _ABSENT)
-            if value is _ABSENT:
-                del data[key]
-            else:
-                data[key] = value
-            node._data, node._next, node._key, node._value = None, version, key, undo
-            version._data, version._next = data, None
-            node = version
-        return data
-
-    def set(self, key, value) -> "VersionedMap":
-        """A new version with ``key`` bound to ``value``; this one keeps its binding."""
-        data = self._data
-        if data is None:
-            data = self._reroot()
-        new = VersionedMap.__new__(VersionedMap)
-        new._data, new._next = data, None
-        undo = data.get(key, _ABSENT)
-        data[key] = value
-        self._data, self._next, self._key, self._value = None, new, key, undo
-        return new
-
-    def get(self, key, default=None):
-        data = self._data
-        if data is None:
-            data = self._reroot()
-        return data.get(key, default)
-
-    def __contains__(self, key) -> bool:
-        data = self._data
-        if data is None:
-            data = self._reroot()
-        return key in data
-
-    def __getitem__(self, key):
-        data = self._data
-        if data is None:
-            data = self._reroot()
-        return data[key]
-
-    def __iter__(self):
-        # Over a copy of the keys: a read of another version mid-iteration reroots.
-        return iter(tuple(self._data if self._data is not None else self._reroot()))
-
-    def __len__(self) -> int:
-        return len(self._data if self._data is not None else self._reroot())
-
-    def __repr__(self) -> str:
-        return repr(self._data if self._data is not None else self._reroot())
-
-
-class RecordLog(Sequence):
-    """Append-only sequence: the items of a ``VersionedMap`` keyed 0..len-1.
-
-    ``appended`` is one ``set`` on that map, so it is O(1) and every
-    version shares the map. Unlike a linked list, it adds no object per
-    item that outlives its version: such survivors advance the garbage
-    collector's full collections. Equal to, and indexed like, the tuple of
-    its items in append order.
-    """
-
-    __slots__ = ("_items", "_len")
-
-    def __init__(self, items=()):
-        self._items = VersionedMap(enumerate(items))
-        self._len = len(self._items)
-
-    def appended(self, item) -> "RecordLog":
-        log = RecordLog.__new__(RecordLog)
-        log._items, log._len = self._items.set(self._len, item), self._len + 1
-        return log
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        items = self._items
-        return iter([items[i] for i in range(self._len)])
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (RecordLog, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 class AssignmentStatus(Enum):
@@ -229,96 +100,68 @@ class Violation:
     items: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class WorldState:
-    """Immutable world value; update helpers return new instances."""
+    """The mutable world store; each ``with_*``/``without_*`` method is one write."""
 
-    networks: frozenset[str] = frozenset()
-    members: frozenset[tuple[str, str]] = frozenset()
-    details: Mapping[str, Detail] = field(default_factory=dict)
-    collections: Sequence[CollectionRecord] = ()
-    assignments: tuple[Assignment, ...] = ()
-    purposes: dict[str, frozenset[str]] = field(default_factory=dict)
-    reveal_ttl: int = DEFAULT_REVEAL_TTL
-    # Derived from ``members`` and ``collections``; see the module docstring.
-    _networks_of: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
-    _records_of: VersionedMap = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        networks_of: dict[str, frozenset[str]] = {}
-        for service, network in self.members:
-            networks_of[service] = networks_of.get(service, frozenset()) | {network}
-        records_of: dict[str, tuple[CollectionRecord, ...]] = {}
-        for r in self.collections:
-            records_of[r.detail_key] = records_of.get(r.detail_key, ()) + (r,)
-        # The versioned values own copies: no caller's dict is ever written.
-        object.__setattr__(self, "details", VersionedMap(self.details))
-        object.__setattr__(self, "collections", RecordLog(self.collections))
-        object.__setattr__(self, "_networks_of", networks_of)
-        object.__setattr__(self, "_records_of", VersionedMap(records_of))
+    def __init__(self):
+        self.networks: set[str] = set()
+        self.purposes: dict[str, set[str]] = {}
+        self.members: dict[str, set[str]] = {}  # service -> its networks
+        self.details: dict[str, Detail] = {}
+        self.collections: list[CollectionRecord] = []
+        self.latest_approval: dict[str, int] = {}  # detail key -> newest approved_at
+        self.assignments: dict[str, Assignment] = {}
+        self.ongoing: dict[str, dict[str, None]] = {}  # service -> ongoing ids, in order
+        self.reveal_ttl = DEFAULT_REVEAL_TTL
 
     # -- queries ----------------------------------------------------------
 
     def is_member(self, service: str, network: str) -> bool:
-        return (service, network) in self.members
+        return network in self.members.get(service, ())
 
     def member_networks(self, service: str) -> tuple[str, ...]:
-        return tuple(sorted(self._networks_of.get(service, ())))
+        return tuple(sorted(self.members.get(service, ())))
 
     def has_any_membership(self, service: str) -> bool:
-        return service in self._networks_of
+        return service in self.members
 
     def detail_privacy(self) -> dict[str, Privacy]:
         return {key: d.privacy for key, d in self.details.items()}
 
-    def records_for(self, detail_key: str) -> tuple[CollectionRecord, ...]:
-        return self._records_of.get(detail_key, ())
-
     def assignment(self, assignment_id: str) -> Assignment:
-        for a in self.assignments:
-            if a.id == assignment_id:
-                return a
-        raise UnknownAssignment(f"no assignment {assignment_id!r}")
+        a = self.assignments.get(assignment_id)
+        if a is None:
+            raise UnknownAssignment(f"no assignment {assignment_id!r}")
+        return a
 
     def ongoing_assignments(self, service: str) -> tuple[str, ...]:
-        return tuple(
-            a.id for a in self.assignments
-            if a.service == service and a.status is AssignmentStatus.ONGOING
-        )
+        return tuple(self.ongoing.get(service, ()))
 
-    # -- updates (each returns a new value; the input is unchanged) ---------
-
-    def with_network(self, name: str) -> "WorldState":
-        return _evolve(self, networks=self.networks | {name})
-
-    def with_purpose(self, network: str, token: str) -> "WorldState":
-        if network not in self.networks:
-            raise UnknownNetwork(f"no network {network!r}")
-        current = self.purposes.get(network, frozenset())
-        return _evolve(self, purposes={**self.purposes, network: current | {token}})
-
-    def with_member(self, service: str, network: str) -> "WorldState":
+    def check_new_member(self, service: str, network: str) -> None:
+        """Raise unless ``service`` may join ``network``."""
         if network not in self.networks:
             raise UnknownNetwork(f"no network {network!r}")
         if self.is_member(service, network):
             raise AlreadyMember(f"{service!r} is already a member of {network!r}")
-        joined = self._networks_of.get(service, frozenset()) | {network}
-        return _evolve(
-            self,
-            members=self.members | {(service, network)},
-            _networks_of={**self._networks_of, service: joined},
-        )
 
-    def without_memberships(self, service: str) -> "WorldState":
-        networks_of = dict(self._networks_of)
-        left = networks_of.pop(service, ())
-        return _evolve(
-            self,
-            members=self.members - {(service, n) for n in left},
-            _networks_of=networks_of,
-        )
+    # -- writes (each validates before it changes anything) ----------------
 
-    def with_detail(self, detail: Detail) -> "WorldState":
+    def with_network(self, name: str) -> None:
+        self.networks.add(name)
+
+    def with_purpose(self, network: str, token: str) -> None:
+        if network not in self.networks:
+            raise UnknownNetwork(f"no network {network!r}")
+        self.purposes.setdefault(network, set()).add(token)
+
+    def with_member(self, service: str, network: str) -> None:
+        self.check_new_member(service, network)
+        self.members.setdefault(service, set()).add(network)
+
+    def without_memberships(self, service: str) -> None:
+        self.members.pop(service, None)
+
+    def with_detail(self, detail: Detail) -> None:
         if detail.key in self.details:
             raise DuplicateDetail(f"detail {detail.key!r} already exists")
         if detail.network not in self.networks:
@@ -327,33 +170,30 @@ class WorldState:
             raise OwnerNotMember(
                 f"owner {detail.owner!r} is not a member of {detail.network!r}"
             )
-        return _evolve(self, details=self.details.set(detail.key, detail))
+        self.details[detail.key] = detail
 
-    def with_detail_value(self, key: str, value: str, veracity: bool) -> "WorldState":
-        d = self.details.get(key)
-        if d is None:
-            raise UnknownDetail(f"no detail {key!r}")
-        updated = _evolve(d, value=value, veracity=veracity)
-        return _evolve(self, details=self.details.set(key, updated))
+    def with_detail_value(self, detail: Detail) -> None:
+        """Replace the detail stored under ``detail.key``."""
+        if detail.key not in self.details:
+            raise UnknownDetail(f"no detail {detail.key!r}")
+        self.details[detail.key] = detail
 
-    def with_collection(self, record: CollectionRecord) -> "WorldState":
+    def with_collection(self, record: CollectionRecord) -> None:
         key = record.detail_key
         if key not in self.details:
             raise UnknownDetail(f"no detail {key!r}")
-        return _evolve(
-            self,
-            collections=self.collections.appended(record),
-            _records_of=self._records_of.set(key, self.records_for(key) + (record,)),
-        )
+        self.collections.append(record)
+        latest = self.latest_approval
+        latest[key] = max(record.approved_at, latest.get(key, record.approved_at))
 
-    def with_assignment(self, assignment: Assignment) -> "WorldState":
-        if any(a.id == assignment.id for a in self.assignments):
+    def with_assignment(self, assignment: Assignment) -> None:
+        if assignment.id in self.assignments:
             raise DuplicateAssignment(f"assignment {assignment.id!r} already exists")
-        return _evolve(self, assignments=self.assignments + (assignment,))
+        self.assignments[assignment.id] = assignment
+        if assignment.status is AssignmentStatus.ONGOING:
+            self.ongoing.setdefault(assignment.service, {})[assignment.id] = None
 
-    def with_finished_assignment(
-        self, assignment_id: str, outcome: AssignmentStatus
-    ) -> "WorldState":
+    def with_finished_assignment(self, assignment_id: str, outcome: AssignmentStatus) -> None:
         if outcome is AssignmentStatus.ONGOING:
             raise IllegalStatusChange("an assignment cannot move back to ongoing")
         current = self.assignment(assignment_id)
@@ -361,18 +201,13 @@ class WorldState:
             raise IllegalStatusChange(
                 f"assignment {assignment_id!r} already {current.status.value}"
             )
-        finished = _evolve(current, status=outcome)
-        return _evolve(
-            self,
-            assignments=tuple(
-                finished if a.id == assignment_id else a for a in self.assignments
-            ),
-        )
+        self.assignments[assignment_id] = _evolve(current, status=outcome)
+        del self.ongoing[current.service][assignment_id]
 
-    def with_ttl(self, ticks: int) -> "WorldState":
+    def with_ttl(self, ticks: int) -> None:
         if ticks < 0:
             raise ValueError("reveal ttl must be >= 0")
-        return _evolve(self, reveal_ttl=ticks)
+        self.reveal_ttl = ticks
 
 
 # -- responsibility checks --------------------------------------------------
@@ -381,13 +216,16 @@ def valid(w: WorldState, network: str, purpose: str) -> bool:
     """True iff the purpose token is registered for the network."""
     if network not in w.networks:
         raise UnknownNetwork(f"no network {network!r}")
-    return purpose in w.purposes.get(network, frozenset())
+    return purpose in w.purposes.get(network, ())
 
 
 def exec_collect(
     w: WorldState, collector: str, detail_key: str, purpose: str, t: int
-) -> tuple[WorldState, CollectionRecord] | Violation:
-    """Collect a detail: needs a valid purpose and network membership (resp1)."""
+) -> CollectionRecord | Violation:
+    """Collect a detail: needs a valid purpose and network membership (resp1).
+
+    Returns the record to write with ``with_collection``.
+    """
     d = w.details.get(detail_key)
     if d is None:
         raise UnknownDetail(f"no detail {detail_key!r}")
@@ -395,8 +233,7 @@ def exec_collect(
         return Violation(Responsibility.RESP1, "invalid-purpose")
     if not w.is_member(collector, d.network):
         return Violation(Responsibility.RESP1, "collector-not-member")
-    record = CollectionRecord(detail_key, collector, purpose, t, d.value)
-    return w.with_collection(record), record
+    return CollectionRecord(detail_key, collector, purpose, t, d.value)
 
 
 def exec_post(
@@ -408,12 +245,14 @@ def exec_post(
     *,
     network: str | None = None,
     value: str | None = None,
-) -> WorldState | Violation:
+) -> Detail | Violation:
     """Post a detail: content must be true and the poster a member (resp2).
 
-    Posting an existing detail updates its value in place (the scheduler
-    serializes writers, so last-writer-wins is safe). Posting a fresh key
-    creates a public detail owned by the poster in ``network``.
+    Returns the detail as the post leaves it. Posting an existing detail
+    updates its value (the scheduler serializes writers, so
+    last-writer-wins is safe): write it with ``with_detail_value``.
+    Posting a fresh key creates a public detail owned by the poster in
+    ``network``: write it with ``with_detail``.
     """
     d = w.details.get(detail_key)
     net = d.network if d is not None else network
@@ -425,9 +264,8 @@ def exec_post(
         return Violation(Responsibility.RESP2, "poster-not-member")
     new_value = value if value is not None else f"{poster}@t{t}"
     if d is not None:
-        return w.with_detail_value(detail_key, new_value, veracity=True)
-    created = Detail(detail_key, poster, net, Privacy.PUBLIC, new_value)
-    return w.with_detail(created)
+        return _evolve(d, value=new_value, veracity=True)
+    return Detail(detail_key, poster, net, Privacy.PUBLIC, new_value)
 
 
 def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation:
@@ -440,16 +278,17 @@ def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation:
     """
     if detail_key not in w.details:
         raise UnknownDetail(f"no detail {detail_key!r}")
-    if not w.records_for(detail_key):
+    if detail_key not in w.latest_approval:
         raise NoCollectionRecord(f"no approved collection for {detail_key!r}")
     return Violation(Responsibility.RESP3, "tamper-after-collection")
 
 
-def exec_signoff(w: WorldState, service: str) -> tuple[WorldState, tuple[str, ...]] | Violation:
+def exec_signoff(w: WorldState, service: str) -> tuple[str, ...] | Violation:
     """Sign a service off its networks; blocked by ongoing assignments (resp4).
 
     Complete and failed assignments are both terminal and do not block.
-    Returns the updated world and the networks the service left.
+    Returns the networks the service leaves: write the sign-off with
+    ``without_memberships``.
     """
     networks = w.member_networks(service)
     if not networks:
@@ -457,7 +296,7 @@ def exec_signoff(w: WorldState, service: str) -> tuple[WorldState, tuple[str, ..
     ongoing = w.ongoing_assignments(service)
     if ongoing:
         return Violation(Responsibility.RESP4, "ongoing-assignments", items=ongoing)
-    return w.without_memberships(service), networks
+    return networks
 
 
 def exec_reveal(w: WorldState, detail_key: str, requester: str, t: int) -> str | Violation:
@@ -474,10 +313,9 @@ def exec_reveal(w: WorldState, detail_key: str, requester: str, t: int) -> str |
         return d.value
     if d.privacy is Privacy.PRIVATE:
         return Violation(Responsibility.RESP5, "private-to-nonmember")
-    records = w.records_for(detail_key)
-    if not records:
+    latest = w.latest_approval.get(detail_key)
+    if latest is None:
         return Violation(Responsibility.RESP5, "no-approved-collection")
-    if any(t - r.approved_at <= w.reveal_ttl for r in records):
+    if t - latest <= w.reveal_ttl:
         return d.value
     return Violation(Responsibility.RESP5, "authorization-expired")
-

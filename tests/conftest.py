@@ -79,9 +79,11 @@ def any_commitment(draw, cid: str):
 @pytest.fixture
 def small_world() -> WorldState:
     """One network, two member services, one public and one private detail."""
-    w = WorldState().with_network("fb")
-    w = w.with_purpose("fb", "analytics")
-    w = w.with_member("svcA", "fb").with_member("svcB", "fb")
-    w = w.with_detail(Detail("email", "svcA", "fb", Privacy.PUBLIC, "addr0"))
-    w = w.with_detail(Detail("vault", "svcA", "fb", Privacy.PRIVATE, "secret0"))
+    w = WorldState()
+    w.with_network("fb")
+    w.with_purpose("fb", "analytics")
+    w.with_member("svcA", "fb")
+    w.with_member("svcB", "fb")
+    w.with_detail(Detail("email", "svcA", "fb", Privacy.PUBLIC, "addr0"))
+    w.with_detail(Detail("vault", "svcA", "fb", Privacy.PRIVATE, "secret0"))
     return w

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from commitsched.errors import AlreadyMember, ScenarioRuntimeError, UnknownNetwork
@@ -29,23 +31,34 @@ detail wall owner fb public seed
 
 # -- registration -----------------------------------------------------------
 
+def _one_network() -> WorldState:
+    w = WorldState()
+    w.with_network("fb")
+    return w
+
+
 def test_register_accept_adds_membership():
-    w = WorldState().with_network("fb")
-    w2, event = register(w, "svcA", "fb", accept=True, clock=0)
-    assert w2.is_member("svcA", "fb")
+    w = _one_network()
+    event = register(w, "svcA", "fb", accept=True, clock=0)
+    assert w.is_member("svcA", "fb")
     assert event.kind is EventKind.REGISTERED
 
 
 def test_register_reject_leaves_world():
-    w = WorldState().with_network("fb")
-    w2, event = register(w, "svcA", "fb", accept=False, clock=0)
-    assert w2 == w
+    w = _one_network()
+    before = copy.deepcopy(vars(w))
+    event = register(w, "svcA", "fb", accept=False, clock=0)
+    assert vars(w) == before
     assert event.kind is EventKind.REJECTED
-    # A rejection is still validated: unknown network, existing member.
+    # A rejection is still validated, and a failed one writes nothing either.
     with pytest.raises(UnknownNetwork, match="no network 'gplus'"):
         register(w, "svcA", "gplus", accept=False, clock=0)
+    with pytest.raises(UnknownNetwork, match="no network 'gplus'"):
+        register(w, "svcA", "gplus", accept=True, clock=0)
+    assert vars(w) == before
+    w.with_member("svcA", "fb")
     with pytest.raises(AlreadyMember, match="'svcA' is already a member of 'fb'"):
-        register(w.with_member("svcA", "fb"), "svcA", "fb", accept=False, clock=0)
+        register(w, "svcA", "fb", accept=False, clock=0)
 
 
 def test_register_twice_fails():
@@ -71,7 +84,7 @@ def test_rejected_service_cannot_submit():
         "signup shady fb reject\n"
         "submit c1 shady post wall true x\n"
     )
-    with pytest.raises(ScenarioRuntimeError):
+    with pytest.raises(ScenarioRuntimeError, match="'shady' is a member of no network"):
         _run_text(text)
 
 
@@ -229,7 +242,8 @@ def test_signoff_removes_membership_and_gates_future_submits():
     )
     with pytest.raises(ScenarioRuntimeError) as err:
         _run_text(text)
-    assert "alpha" in str(err.value)
+    assert err.value.line == 10
+    assert "'alpha' is a member of no network" in str(err.value)
 
 
 def test_signoff_waits_for_writes_on_owned_details():
