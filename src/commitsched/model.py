@@ -17,7 +17,11 @@ validates its arguments itself and fills a fresh instance dictionary in
 one step (``_build``), without ``__init__``; ``_evolve`` copies a
 detail or an assignment of the world the same way. Equality, hashing,
 ``repr`` and the frozen-attribute check stay the dataclass's own.
-``ContentAction`` is built by its constructor, which validates it.
+``new_content`` builds a ``ContentAction`` without ``__init__`` too,
+setting each field itself; it and the constructor's ``__post_init__``
+both validate with ``_check_content``, the one statement of the content
+rule. The run path also builds a world's ``Detail`` and
+``CollectionRecord`` with ``_build``.
 
 Enums used as dictionary keys on the per-commitment path hash by
 identity (``__hash__ = object.__hash__``, computed without running Python
@@ -132,6 +136,18 @@ _LEGAL_TRANSITIONS: Mapping[tuple[LifecycleState, TransitionEvent], LifecycleSta
 }
 
 
+def _check_content(verb, target, owner, purpose, veracity, requester) -> None:
+    """Raise InvalidContent unless the arguments make a valid content action."""
+    if not target:
+        raise InvalidContent("content target must be non-empty")
+    if verb is Verb.COLLECT and (owner is None or purpose is None):
+        raise InvalidContent("collect requires owner and purpose")
+    if verb is Verb.POST and veracity is None:
+        raise InvalidContent("post requires a veracity flag")
+    if verb is Verb.REVEAL and requester is None:
+        raise InvalidContent("reveal requires a requester")
+
+
 @dataclass(frozen=True)
 class ContentAction:
     """Action a commitment pledges: a verb plus verb-specific arguments.
@@ -151,14 +167,9 @@ class ContentAction:
     payload: str | None = None
 
     def __post_init__(self):
-        if not self.target:
-            raise InvalidContent("content target must be non-empty")
-        if self.verb is Verb.COLLECT and (self.owner is None or self.purpose is None):
-            raise InvalidContent("collect requires owner and purpose")
-        if self.verb is Verb.POST and self.veracity is None:
-            raise InvalidContent("post requires a veracity flag")
-        if self.verb is Verb.REVEAL and self.requester is None:
-            raise InvalidContent("reveal requires a requester")
+        _check_content(
+            self.verb, self.target, self.owner, self.purpose, self.veracity, self.requester
+        )
 
 
 @dataclass(frozen=True)
@@ -204,6 +215,37 @@ def _evolve(obj, **changes):
     is never modified.
     """
     return _build(obj.__class__, {**obj.__dict__, **changes})
+
+
+def new_content(
+    verb: Verb,
+    target: str,
+    owner: str | None = None,
+    purpose: str | None = None,
+    veracity: bool | None = None,
+    requester: str | None = None,
+    payload: str | None = None,
+) -> ContentAction:
+    """The ``ContentAction`` its constructor would build, validated the same way.
+
+    Filled field by field without ``__init__``, not with ``_build``: on
+    CPython 3.11+ the attributes then stay inline in the instance, which
+    is smaller than one with its own instance dictionary, and the
+    scheduler reads ``content.target`` and ``content.verb`` of every
+    queued commitment it scans. Built by ``_build``, the scheduler's
+    slowest calls got slower (``BENCH_13.json``).
+    """
+    _check_content(verb, target, owner, purpose, veracity, requester)
+    obj = object.__new__(ContentAction)
+    put = object.__setattr__
+    put(obj, "verb", verb)
+    put(obj, "target", target)
+    put(obj, "owner", owner)
+    put(obj, "purpose", purpose)
+    put(obj, "veracity", veracity)
+    put(obj, "requester", requester)
+    put(obj, "payload", payload)
+    return obj
 
 
 def derive_access_class(content: ContentAction) -> AccessClass:

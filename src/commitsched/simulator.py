@@ -28,11 +28,12 @@ from .errors import EngineError, NoCollectionRecord, ScenarioRuntimeError
 from .model import (
     Commitment,
     CommitmentKind,
-    ContentAction,
     LifecycleState,
     RESPONSIBILITY_FOR_VERB,
     Verb,
+    _build,
     new_commitment,
+    new_content,
 )
 from .scenario import COMMANDS, Command, Scenario
 from .scheduler import DecisionKind, MonitoringReport, Policy, Scheduler
@@ -126,7 +127,9 @@ class _Sim:
 
     def _do_assign(self, service: str, responsibility) -> None:
         if not self.world.has_any_membership(service):
-            raise self.fail(f"cannot assign responsibilities: {service!r} is not registered")
+            raise self.fail(
+                f"cannot assign responsibilities: {service!r} is a member of no network"
+            )
         self.emit(EventKind.ASSIGNED, service, ("resp", responsibility.value))
 
     def _do_assignment(self, id: str, service: str) -> None:
@@ -136,7 +139,14 @@ class _Sim:
         self.world.with_finished_assignment(id, status)
 
     def _do_detail(self, key, owner, network, privacy, value) -> None:
-        self.world.with_detail(Detail(key, owner, network, privacy, value))
+        self.world.with_detail(_build(Detail, {
+            "key": key,
+            "owner": owner,
+            "network": network,
+            "privacy": privacy,
+            "value": value,
+            "veracity": True,
+        }))
 
     def _do_ttl(self, ticks: int) -> None:
         self.world.with_ttl(ticks)
@@ -185,15 +195,7 @@ class _Sim:
             return
 
         detail = None if verb is Verb.SIGNOFF else self.world.details.get(target)
-        content = ContentAction(
-            verb=verb,
-            target=target,
-            owner=owner,
-            purpose=purpose,
-            veracity=veracity,
-            requester=requester,
-            payload=payload,
-        )
+        content = new_content(verb, target, owner, purpose, veracity, requester, payload)
         creditor = detail.network if detail else self.world.member_networks(service)[0]
         commitment = new_commitment(
             cid,
@@ -231,6 +233,8 @@ class _Sim:
     # -- activation / governance --------------------------------------------
 
     def _process_activations(self, batch: list[Commitment]) -> None:
+        if not batch:
+            return
         work = deque(batch)
         while work:
             c = work.popleft()

@@ -48,7 +48,7 @@ from .errors import (
     UnknownNetwork,
     UnknownService,
 )
-from .model import Privacy, Responsibility, _evolve
+from .model import Privacy, Responsibility, _build, _evolve
 
 DEFAULT_REVEAL_TTL = 100
 
@@ -233,7 +233,13 @@ def exec_collect(
         return Violation(Responsibility.RESP1, "invalid-purpose")
     if not w.is_member(collector, d.network):
         return Violation(Responsibility.RESP1, "collector-not-member")
-    return CollectionRecord(detail_key, collector, purpose, t, d.value)
+    return _build(CollectionRecord, {
+        "detail_key": detail_key,
+        "collector": collector,
+        "purpose": purpose,
+        "approved_at": t,
+        "snapshot": d.value,
+    })
 
 
 def exec_post(

@@ -266,8 +266,25 @@ def test_signoff_waits_for_writes_on_owned_details():
 # -- assignment commands -----------------------------------------------------------------
 
 def test_assign_requires_registered_service():
-    with pytest.raises(ScenarioRuntimeError):
+    with pytest.raises(ScenarioRuntimeError) as err:
         _run_text("network fb\nassign ghost resp1\n")
+    assert str(err.value) == (
+        "line 2 (assign): cannot assign responsibilities: 'ghost' is a member of no network"
+    )
+
+
+def test_assign_after_signoff_names_no_network():
+    text = (
+        "network fb\nsignup a fb accept\n"
+        "detail wall a fb public seed\n"
+        "submit s1 a signoff a\ntick\ncomplete s1\n"
+        "assign a resp1\n"
+    )
+    with pytest.raises(ScenarioRuntimeError) as err:
+        _run_text(text)
+    assert str(err.value) == (
+        "line 7 (assign): cannot assign responsibilities: 'a' is a member of no network"
+    )
 
 
 def test_assign_emits_event():

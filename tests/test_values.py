@@ -8,6 +8,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from commitsched import model
+from commitsched.errors import InvalidContent
 from commitsched.model import (
     ACCESS_FOR_VERB,
     AccessClass,
@@ -20,11 +22,32 @@ from commitsched.model import (
     TransitionEvent,
     Verb,
     new_commitment,
+    new_content,
 )
+from commitsched.scenario import parse
+from commitsched.simulator import run
 from commitsched.trace import EventKind, ScheduleEvent
+from commitsched.world import CollectionRecord, Detail, WorldState, exec_collect
 
 names = st.text(alphabet="abcxyz019-", min_size=1, max_size=6)
 tokens = st.text(alphabet="abc=, .", max_size=6)
+
+
+def _assert_indistinguishable(built, constructed) -> None:
+    """``built``, made without ``__init__``, is the value its constructor gives."""
+    assert type(built) is type(constructed)
+    assert built == constructed and constructed == built
+    assert hash(built) == hash(constructed)
+    assert repr(built) == repr(constructed)
+    assert dataclasses.astuple(built) == dataclasses.astuple(constructed)
+    # A field left out of the instance dictionary would still read its
+    # class-level default, so compare the dictionaries themselves.
+    assert vars(built) == vars(constructed)
+    first = dataclasses.fields(built)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, first, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(built, first)
 
 
 @st.composite
@@ -94,15 +117,7 @@ def test_new_commitment_equals_the_constructed_value(args):
         arrival=args["clock"],
         target_owner=args["target_owner"],
     )
-    assert type(built) is Commitment
-    assert built == constructed and constructed == built
-    assert hash(built) == hash(constructed)
-    assert repr(built) == repr(constructed)
-    assert dataclasses.astuple(built) == dataclasses.astuple(constructed)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        built.priority = 99
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del built.id
+    _assert_indistinguishable(built, constructed)
 
 
 attrs = st.lists(st.tuples(names, tokens), max_size=4).map(tuple)
@@ -154,3 +169,101 @@ def test_hot_enum_members_hash_by_identity(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert {a: 1}.get(b) == (1 if a is b else None)
+
+
+# -- ContentAction, CollectionRecord and Detail built without __init__ ----------
+
+REQUIRED = {
+    Verb.COLLECT: ("owner", "purpose"),
+    Verb.POST: ("veracity",),
+    Verb.TAMPER: (),
+    Verb.SIGNOFF: (),
+    Verb.REVEAL: ("requester",),
+}
+FILLED = {"owner": "o", "purpose": "p", "veracity": True, "requester": "r"}
+
+
+@st.composite
+def content_args(draw) -> dict:
+    """Valid keyword arguments of ``ContentAction``, optional fields drawn too."""
+    verb = draw(st.sampled_from(list(Verb)))
+    args = {
+        "verb": verb,
+        "target": draw(names),
+        "owner": draw(st.none() | names),
+        "purpose": draw(st.none() | names),
+        "veracity": draw(st.none() | st.booleans()),
+        "requester": draw(st.none() | names),
+        "payload": draw(st.none() | names),
+    }
+    for name in REQUIRED[verb]:
+        if args[name] is None:
+            args[name] = draw(st.booleans() if name == "veracity" else names)
+    return args
+
+
+@given(args=content_args())
+def test_new_content_equals_the_constructed_value(args):
+    constructed = ContentAction(**args)
+    _assert_indistinguishable(new_content(**args), constructed)
+    # The simulator passes the fields by position, in field order.
+    _assert_indistinguishable(new_content(*dataclasses.astuple(constructed)), constructed)
+
+
+def _malformed():
+    for verb, required in REQUIRED.items():
+        valid = {name: FILLED[name] for name in required}
+        yield pytest.param(verb, "", valid, id=f"{verb.value}-empty-target")
+        for name in required:
+            missing = {k: v for k, v in valid.items() if k != name}
+            yield pytest.param(verb, "d", missing, id=f"{verb.value}-no-{name}")
+
+
+@pytest.mark.parametrize("verb,target,kwargs", list(_malformed()))
+def test_constructor_and_builder_reject_alike(verb, target, kwargs):
+    with pytest.raises(InvalidContent) as by_constructor:
+        ContentAction(verb, target, **kwargs)
+    with pytest.raises(InvalidContent) as by_builder:
+        new_content(verb, target, **kwargs)
+    assert type(by_builder.value) is type(by_constructor.value)
+    assert str(by_builder.value) == str(by_constructor.value)
+
+
+def test_constructor_and_builder_share_one_content_check(monkeypatch):
+    seen = []
+
+    def check(*args):
+        seen.append(args)
+        raise InvalidContent("checked")
+
+    monkeypatch.setattr(model, "_check_content", check)
+    for build in (ContentAction, new_content):
+        with pytest.raises(InvalidContent, match="checked"):
+            build(Verb.POST, "d", veracity=True)
+    assert seen == [(Verb.POST, "d", None, None, True, None)] * 2
+
+
+@given(collector=names, owner=names, key=names, purpose=names, value=names,
+       t=st.integers(0, 10**6))
+def test_exec_collect_record_equals_the_constructed_value(collector, owner, key, purpose,
+                                                          value, t):
+    w = WorldState()
+    w.with_network("n")
+    w.with_purpose("n", purpose)
+    w.with_member(owner, "n")
+    if collector != owner:
+        w.with_member(collector, "n")
+    w.with_detail(Detail(key, owner, "n", Privacy.PUBLIC, value))
+    record = exec_collect(w, collector, key, purpose, t)
+    _assert_indistinguishable(record, CollectionRecord(key, collector, purpose, t, value))
+
+
+@given(owner=names, key=names, value=names, privacy=st.sampled_from(list(Privacy)))
+def test_detail_command_equals_the_constructed_value(owner, key, value, privacy):
+    text = (
+        f"network n\nsignup {owner} n accept\n"
+        f"detail {key} {owner} n {privacy.value} {value}\n"
+    )
+    built = run(parse(text)).world.details[key]
+    _assert_indistinguishable(built, Detail(key, owner, "n", privacy, value))
+    assert built.veracity is True
