@@ -204,6 +204,7 @@ class Scheduler:
     def __init__(self, policy: Policy = Policy.FCFS):
         self.policy = policy
         self._active: dict[str, Commitment] = {}   # id -> commitment, activation order
+        self._active_view = MappingProxyType(self._active)
         self._queue: dict[str, Commitment] = {}    # id -> commitment, queue order
         self._seen: set[str] = set()
         self._tally: dict[str, dict[LifecycleState, int]] = {}  # terminal outcomes
@@ -216,7 +217,8 @@ class Scheduler:
 
     @property
     def active(self) -> Mapping[str, Commitment]:
-        return MappingProxyType(self._active)
+        """A live read-only view of the active commitments."""
+        return self._active_view
 
     @property
     def queue(self) -> tuple[Commitment, ...]:

@@ -12,6 +12,12 @@ The clock advances only on ``tick`` commands, so commands in between
 share a time slice; same-tick submissions are linearized in file order.
 Equal inputs produce byte-identical traces.
 
+The run writes each event's canonical trace line once, when the event
+happens: the per-commitment kinds (``Submitted``, ``Waiting``,
+``Activated``, ``Completed``/``Failed``) each with one f-string, the
+rare kinds through ``ScheduleEvent.line()``. The lines are the record;
+``Trace.events`` parses them back only when asked.
+
 The governance action is not deferred to the end of the slice: a
 commitment admitted at ``submit`` resolves (and a violation releases its
 scope) before the next command runs. A later submission can therefore
@@ -85,13 +91,15 @@ class _Sim:
         self.clock = 0
         self.guards: dict[str, bool] = {}
         self.claimed_ids: set[str] = set()  # submitted or guard-rejected
-        self.events: list[ScheduleEvent] = []
+        self.lines: list[str] = []  # the trace, one canonical line per event
+        self.ok = True  # cleared where a Violation line is written
         self.current: Command | None = None
 
     # -- plumbing ----------------------------------------------------------
 
     def emit(self, kind: EventKind, subject: str, *attrs: tuple[str, str]) -> None:
-        self.events.append(ScheduleEvent(self.clock, kind, subject, attrs))
+        """Write the line of an event of a rare kind."""
+        self.lines.append(ScheduleEvent(self.clock, kind, subject, attrs).line())
 
     def fail(self, message: str) -> ScenarioRuntimeError:
         cmd = self.current
@@ -123,7 +131,7 @@ class _Sim:
         self.world.with_purpose(network, token)
 
     def _do_signup(self, service: str, network: str, accept: bool) -> None:
-        self.events.append(register(self.world, service, network, accept, self.clock))
+        self.lines.append(register(self.world, service, network, accept, self.clock).line())
 
     def _do_assign(self, service: str, responsibility) -> None:
         if not self.world.has_any_membership(service):
@@ -167,8 +175,9 @@ class _Sim:
             raise self.fail(f"no active commitment {cid!r}")
         outcome = LifecycleState.FAILED if failed else LifecycleState.COMPLETED
         activated = self.sched.on_complete(cid, outcome)
-        kind = EventKind.FAILED if failed else EventKind.COMPLETED
-        self.emit(kind, cid, ("service", holder.debtor))
+        self.lines.append(
+            f"t={self.clock} {'Failed' if failed else 'Completed'} {cid} service={holder.debtor}"
+        )
         self._process_activations(activated)
 
     def _do_submit(
@@ -210,22 +219,15 @@ class _Sim:
             target_owner=detail.owner if detail else None,
         )
         self.claimed_ids.add(cid)
-        self.emit(
-            EventKind.SUBMITTED,
-            cid,
-            ("service", service),
-            ("verb", verb._value_),
-            ("target", target),
-            ("access", commitment.access._value_),
-            ("prio", str(commitment.priority)),
+        self.lines.append(
+            f"t={self.clock} Submitted {cid} service={service} verb={verb._value_}"
+            f" target={target} access={commitment.access._value_} prio={commitment.priority}"
         )
         decision = self.sched.submit(commitment)
         if decision.kind is DecisionKind.WAIT:
-            self.emit(
-                EventKind.WAITING,
-                cid,
-                ("service", service),
-                ("blockers", ",".join(decision.blockers)),
+            self.lines.append(
+                f"t={self.clock} Waiting {cid} service={service}"
+                f" blockers={','.join(decision.blockers)}"
             )
         else:
             self._process_activations([commitment])
@@ -238,7 +240,7 @@ class _Sim:
         work = deque(batch)
         while work:
             c = work.popleft()
-            self.emit(EventKind.ACTIVATED, c.id, ("service", c.debtor))
+            self.lines.append(f"t={self.clock} Activated {c.id} service={c.debtor}")
             violation = self._execute(c)
             if violation is not None:
                 attrs = [
@@ -249,6 +251,7 @@ class _Sim:
                 if violation.items:
                     attrs.append(("assignments", ",".join(violation.items)))
                 self.emit(EventKind.VIOLATION, c.id, *attrs)
+                self.ok = False
                 work.extend(self.sched.on_violation(c.id))
 
     def _execute(self, c: Commitment) -> Violation | None:
@@ -326,6 +329,6 @@ def run(scenario: Scenario, *, policy_override: Policy | None = None) -> RunResu
     sim = _Sim(policy_override)
     for cmd in scenario.commands:
         sim.step(cmd)
-    trace = Trace(tuple(sim.events), sim.clock)
+    trace = Trace(tuple(sim.lines), sim.clock, sim.ok)
     return RunResult(trace, sim.world, sim.sched)
 

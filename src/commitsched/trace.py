@@ -6,11 +6,17 @@ attribute order fixed by the emitting code, and a final sentinel line
 responsibility violation. Identical runs serialize byte-identically;
 the monitoring panel is a pure projection of this text.
 
+The lines are the record. The simulator writes each event's line once,
+when the event happens, and a ``Trace`` holds those lines, the final
+clock and the ok flag; ``text()`` only joins them. Events are parsed
+from the lines on demand (``Trace.events``, ``parse_event``).
+
 An event is a ``ScheduleEvent``, a named tuple ``(clock, kind, subject,
-attrs)``: immutable, compared and hashed as a tuple, and about half as
-dear to build as a frozen dataclass (a run makes at least one per
-commitment). ``line()`` renders it with one format and a join over
-``attrs``.
+attrs)``: immutable, compared and hashed as a tuple. ``line()`` renders
+it with one format and a join over ``attrs``; ``parse_event`` is its
+inverse for subjects and attribute words without spaces and keys
+without ``=``. Scenario words hold no spaces, so ``parse_event(l).line()``
+gives back every line a run writes.
 """
 
 from __future__ import annotations
@@ -50,21 +56,27 @@ class ScheduleEvent(NamedTuple):
         return f"t={clock} {kind._value_} {subject}" + "".join([f" {k}={v}" for k, v in attrs])
 
 
+def parse_event(line: str) -> ScheduleEvent:
+    """The event whose ``line()`` is ``line``."""
+    head, kind, subject, *words = line.split(" ")
+    attrs = tuple(tuple(word.split("=", 1)) for word in words)
+    return ScheduleEvent(int(head[2:]), EventKind(kind), subject, attrs)
+
+
 @dataclass(frozen=True)
 class Trace:
-    """Ordered events of one run plus the closing sentinel."""
+    """The event lines of one run, its final clock and whether it was clean."""
 
-    events: tuple[ScheduleEvent, ...]
+    event_lines: tuple[str, ...]
     final_clock: int
+    ok: bool
 
     @property
-    def ok(self) -> bool:
-        return all(e.kind is not EventKind.VIOLATION for e in self.events)
+    def events(self) -> tuple[ScheduleEvent, ...]:
+        return tuple(map(parse_event, self.event_lines))
 
     def lines(self) -> list[str]:
-        out = [e.line() for e in self.events]
-        out.append(f"t={self.final_clock} END ok={'true' if self.ok else 'false'}")
-        return out
+        return [*self.event_lines, f"t={self.final_clock} END ok={'true' if self.ok else 'false'}"]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + "\n"

@@ -26,6 +26,7 @@ from commitsched.cli import main
 from commitsched.scenario import parse
 from commitsched.scenarios import bundled_names, load_text
 from commitsched.simulator import run
+from commitsched.trace import EventKind, parse_event
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = bundled_names()
@@ -43,6 +44,21 @@ def test_every_bundled_scenario_has_a_golden():
 @pytest.mark.parametrize("name", NAMES)
 def test_trace_matches_golden_byte_for_byte(name):
     assert _trace(name).encode("utf-8") == (GOLDEN / f"{name}.trace").read_bytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_lines_parse_back_to_themselves(name):
+    *lines, end = (GOLDEN / f"{name}.trace").read_text(encoding="utf-8").splitlines()
+    assert end.split(" ")[1] == "END"
+    assert [parse_event(line).line() for line in lines] == lines
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_trace_events_are_its_lines_parsed(name):
+    trace = run(parse(load_text(name), source=name)).trace
+    events = trace.events
+    assert [e.line() for e in events] == trace.lines()[:-1]
+    assert trace.ok is all(e.kind is not EventKind.VIOLATION for e in events)
 
 
 @pytest.mark.parametrize("name", [n for n in NAMES if n.endswith("-breach")])

@@ -31,6 +31,19 @@ def test_empty_scheduler_executes():
     assert s.active["c1"] is c1
 
 
+def test_active_is_one_live_read_only_view():
+    s = Scheduler()
+    view = s.active
+    assert s.active is view
+    c1 = make_commitment("c1", W, "email")
+    s.submit(c1)
+    assert dict(view) == {"c1": c1}
+    with pytest.raises(TypeError):
+        view["c2"] = c1
+    s.on_complete("c1", LifecycleState.COMPLETED)
+    assert "c1" not in view and s.active is view
+
+
 def test_reader_joins_active_reader():
     s = Scheduler()
     s.submit(make_commitment("c1", R, "email"))

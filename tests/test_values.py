@@ -26,7 +26,7 @@ from commitsched.model import (
 )
 from commitsched.scenario import parse
 from commitsched.simulator import run
-from commitsched.trace import EventKind, ScheduleEvent
+from commitsched.trace import EventKind, ScheduleEvent, parse_event
 from commitsched.world import CollectionRecord, Detail, WorldState, exec_collect
 
 names = st.text(alphabet="abcxyz019-", min_size=1, max_size=6)
@@ -154,6 +154,26 @@ def test_line_matches_the_old_format(event):
 def test_line_without_attrs():
     assert ScheduleEvent(3, EventKind.SNAPSHOT, "scheduler").line() == "t=3 Snapshot scheduler"
     assert ScheduleEvent(0, EventKind.SUBMITTED, "", ()).line() == "t=0 Submitted "
+
+
+# The words a trace line holds: subjects and values without spaces, keys
+# without spaces or ``=``. Empty words and ``=`` inside a value are kept.
+words = st.text(alphabet="abc=,.-", max_size=6)
+keys = st.text(alphabet="abc,.-", max_size=6)
+parseable_events = st.builds(
+    ScheduleEvent,
+    st.integers(0, 10**6),
+    st.sampled_from(list(EventKind)),
+    words,
+    st.lists(st.tuples(keys, words), max_size=4).map(tuple),
+)
+
+
+@given(event=parseable_events)
+def test_parse_event_inverts_line(event):
+    parsed = parse_event(event.line())
+    assert parsed == event
+    assert parsed.kind is event.kind
 
 
 HOT_ENUMS = (LifecycleState, TransitionEvent, Verb, AccessClass, EventKind)
