@@ -8,8 +8,9 @@
 ``run`` prints the trace to stdout; with --golden it compares against a
 frozen trace and exits 1 on mismatch. ``oracle`` checks the scheduler
 against the brute-force reference on every instance of up to ``size``
-(default 4) commitments and exits 1 on any mismatch, unsafe state or
-undrained run. Parse and runtime errors exit 2.
+(default 4, from 1 to ``oracle.MAX_INSTANCE``) commitments and exits 1
+on any mismatch, unsafe state or undrained run. Parse and runtime
+errors, and an oracle size out of range, exit 2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import EngineError
+from .oracle import MAX_INSTANCE
 from .scenario import parse
 from .scheduler import Policy
 from .scenarios import load_text
@@ -57,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "small instance; exits 1 on any mismatch",
     )
     p_oracle.add_argument(
-        "size", type=int, nargs="?", default=4,
-        help="largest instance, in commitments (default 4)",
+        "size", type=int, nargs="?", default=4, choices=range(1, MAX_INSTANCE + 1),
+        metavar="size",
+        help=f"largest instance, in commitments, 1 to {MAX_INSTANCE} (default 4)",
     )
 
     return top

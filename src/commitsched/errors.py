@@ -21,15 +21,6 @@ class DuplicateId(EngineError):
     """Commitment id was already used in this run."""
 
 
-class IllegalTransition(EngineError):
-    """Lifecycle event not legal from the current state."""
-
-    def __init__(self, state, event):
-        super().__init__(f"cannot apply {event.value!r} in state {state.value!r}")
-        self.state = state
-        self.event = event
-
-
 class UnknownDetail(EngineError):
     """Referenced detail key does not exist in the world."""
 

@@ -2,21 +2,22 @@
 
 A commitment is the unit of scheduled work: a debtor service pledges an
 action (its content) to a creditor under one of five responsibilities.
-This module defines the immutable value types, the lifecycle state
-machine, and the two derivations every commitment carries:
+This module defines the immutable value types, the lifecycle states,
+and the two derivations every commitment carries:
 
   * access class - reader or writer, fully determined by the content verb;
   * priority     - explicit override, else 10 for private target details
                    and 0 otherwise (private outranks public).
 
 All types are frozen dataclasses. A commitment carries no lifecycle
-state: the scheduler knows it from where the id lives, and
-``transition`` maps a state and an event to the next state by the legal
-table. So a commitment is built once and never copied. ``new_commitment``
-validates its arguments itself and fills a fresh instance dictionary in
-one step (``_build``), without ``__init__``; ``_evolve`` copies a
-detail or an assignment of the world the same way. Equality, hashing,
-``repr`` and the frozen-attribute check stay the dataclass's own.
+state: ``LifecycleState`` only names the states, and the scheduler keeps
+them as where each id lives (active, queued, or tallied under its final
+state). So a commitment is built once and never copied.
+``new_commitment`` validates its arguments itself and fills a fresh
+instance dictionary in one step (``_build``), without ``__init__``;
+``_evolve`` copies a detail or an assignment of the world the same
+way. Equality, hashing, ``repr`` and the frozen-attribute check stay
+the dataclass's own.
 ``new_content`` builds a ``ContentAction`` without ``__init__`` too,
 setting each field itself; it and the constructor's ``__post_init__``
 both validate with ``_check_content``, the one statement of the content
@@ -35,7 +36,6 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import (
-    IllegalTransition,
     InvalidContent,
     MismatchedResponsibility,
     UnknownDetail,
@@ -78,22 +78,11 @@ class Privacy(Enum):
 
 
 class LifecycleState(Enum):
-    PENDING = "pending"
     WAITING = "waiting"
     ACTIVE = "active"
     COMPLETED = "completed"
     FAILED = "failed"
     VIOLATED = "violated"
-
-    __hash__ = object.__hash__  # identity, as equality is
-
-
-class TransitionEvent(Enum):
-    ACTIVATE = "activate"
-    ENQUEUE = "enqueue"
-    COMPLETE = "complete"
-    FAIL = "fail"
-    VIOLATE = "violate"
 
     __hash__ = object.__hash__  # identity, as equality is
 
@@ -123,17 +112,6 @@ DETAIL_VERBS = frozenset({Verb.COLLECT, Verb.POST, Verb.TAMPER, Verb.REVEAL})
 
 PRIORITY_PUBLIC = 0
 PRIORITY_PRIVATE = 10
-
-_LEGAL_TRANSITIONS: Mapping[tuple[LifecycleState, TransitionEvent], LifecycleState] = {
-    (LifecycleState.PENDING, TransitionEvent.ACTIVATE): LifecycleState.ACTIVE,
-    (LifecycleState.PENDING, TransitionEvent.ENQUEUE): LifecycleState.WAITING,
-    (LifecycleState.PENDING, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
-    (LifecycleState.WAITING, TransitionEvent.ACTIVATE): LifecycleState.ACTIVE,
-    (LifecycleState.WAITING, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
-    (LifecycleState.ACTIVE, TransitionEvent.COMPLETE): LifecycleState.COMPLETED,
-    (LifecycleState.ACTIVE, TransitionEvent.FAIL): LifecycleState.FAILED,
-    (LifecycleState.ACTIVE, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
-}
 
 
 def _check_content(verb, target, owner, purpose, veracity, requester) -> None:
@@ -321,15 +299,3 @@ def new_commitment(
         "arrival": clock,
         "target_owner": target_owner,
     })
-
-
-def transition(state: LifecycleState, event: TransitionEvent) -> LifecycleState:
-    """The state a lifecycle event leads to from ``state``.
-
-    Raises IllegalTransition when the event is not legal from ``state``;
-    terminal states accept nothing.
-    """
-    nxt = _LEGAL_TRANSITIONS.get((state, event))
-    if nxt is None:
-        raise IllegalTransition(state, event)
-    return nxt

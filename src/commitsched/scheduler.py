@@ -16,10 +16,14 @@ Design rules:
     priority, then arrival, then lexicographic id. Priority acts only at
     dequeue time.
   - The scheduler is a single-threaded state machine; callers serialize
-    access. It alone keeps the lifecycle: an id is active, queued, or
-    retired into the per-service tally of terminal states. Commitments
-    are immutable values that carry no state, so it stores, indexes and
-    returns the caller's own objects and never copies one.
+    access. Where it keeps an id is the one statement of the lifecycle:
+    a submitted id is queued (Waiting) or active, a queued id can only
+    become active, and only an active id retires, once, into the
+    per-service tally under its final state (Completed or Failed by
+    ``on_complete``, Violated by ``on_violation``). Retiring any other
+    id raises ``UnknownId``; resubmitting any id raises ``DuplicateId``.
+    Commitments are immutable values that carry no state, so it stores,
+    indexes and returns the caller's own objects and never copies one.
 
 Active and queued commitments are each kept in a scope index, a lock
 table hashed by resource (Gray & Reuter, *Transaction Processing*, ch. 8):
@@ -51,14 +55,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DuplicateId, NonEmptyQueue, UnknownId
-from .model import (
-    AccessClass,
-    Commitment,
-    LifecycleState,
-    TransitionEvent,
-    Verb,
-    transition,
-)
+from .model import AccessClass, Commitment, LifecycleState, Verb
 from .relations import same_scope
 
 
@@ -95,12 +92,6 @@ class MonitoringReport:
 
 
 _EXECUTE = Decision(DecisionKind.EXECUTE)
-
-# The lifecycle event that retires an active commitment with each outcome.
-_RETIRE_EVENT: Mapping[LifecycleState, TransitionEvent] = {
-    LifecycleState.COMPLETED: TransitionEvent.COMPLETE,
-    LifecycleState.FAILED: TransitionEvent.FAIL,
-}
 
 
 def _drop(buckets: dict[str, dict[int, Commitment]], key: str, seq: int) -> None:
@@ -255,10 +246,9 @@ class Scheduler:
         ``outcome`` is Completed or Failed; either releases the scope.
         Returns the newly activated commitments in activation order.
         """
-        event = _RETIRE_EVENT.get(outcome)
-        if event is None:
+        if outcome is not LifecycleState.COMPLETED and outcome is not LifecycleState.FAILED:
             raise ValueError(f"outcome must be completed or failed, got {outcome}")
-        return self._retire(cid, event)
+        return self._retire(cid, outcome)
 
     def on_violation(self, cid: str) -> list[Commitment]:
         """Retire an active commitment whose action breached a responsibility.
@@ -266,7 +256,7 @@ class Scheduler:
         Scheduling-wise a violation releases the scope exactly like a
         completion; the commitment ends Violated.
         """
-        return self._retire(cid, TransitionEvent.VIOLATE)
+        return self._retire(cid, LifecycleState.VIOLATED)
 
     def set_policy(self, policy: Policy) -> None:
         """Switch the service policy; only legal while the queue is empty."""
@@ -307,10 +297,10 @@ class Scheduler:
                 if same_scope(q, c):
                     blocked_by[q.id] += 1
 
-    def _retire(self, cid: str, event: TransitionEvent) -> list[Commitment]:
+    def _retire(self, cid: str, final: LifecycleState) -> list[Commitment]:
+        """Retire active ``cid`` into the tally under ``final``; drain the queue."""
         if cid not in self._active:
             raise UnknownId(f"no active commitment {cid!r}")
-        final = transition(LifecycleState.ACTIVE, event)
         retired = self._active.pop(cid)
         self._held.remove(self._seq.pop(cid), retired)
         per_service = self._tally.setdefault(retired.debtor, {})

@@ -170,9 +170,7 @@ class _Sim:
         self.emit(EventKind.SNAPSHOT, "scheduler", *_snapshot_attrs(report))
 
     def _do_complete(self, cid: str, failed: bool) -> None:
-        holder = self.sched.active.get(cid)
-        if holder is None:
-            raise self.fail(f"no active commitment {cid!r}")
+        holder = self.sched.active.get(cid)  # on_complete rejects an inactive cid
         outcome = LifecycleState.FAILED if failed else LifecycleState.COMPLETED
         activated = self.sched.on_complete(cid, outcome)
         self.lines.append(

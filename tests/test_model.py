@@ -1,4 +1,4 @@
-"""Commitment model: derivations, pairing rules, lifecycle machine."""
+"""Commitment model: derivations, pairing rules, stateless values."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commitsched.errors import (
-    IllegalTransition,
     InvalidContent,
     MismatchedResponsibility,
     UnknownDetail,
@@ -19,16 +18,13 @@ from commitsched.model import (
     Commitment,
     CommitmentKind,
     ContentAction,
-    LifecycleState,
     Privacy,
     RESPONSIBILITY_FOR_VERB,
     Responsibility,
-    TransitionEvent,
     Verb,
     derive_access_class,
     derive_priority,
     new_commitment,
-    transition,
 )
 
 
@@ -112,6 +108,9 @@ def test_new_commitment_collect_is_reader_pending():
     )
     assert c.access is AccessClass.READER
     assert c.arrival == 0
+    # Pending means not yet submitted: the value has no lifecycle field, as
+    # the scheduler alone keeps each id's state.
+    assert "state" not in {f.name for f in dataclasses.fields(Commitment)}
 
 
 def test_new_commitment_post_is_writer():
@@ -190,73 +189,3 @@ def test_business_kind_takes_opaque_creditor():
 def test_malformed_content_rejected(bad):
     with pytest.raises(InvalidContent):
         bad()
-
-
-# -- lifecycle ----------------------------------------------------------------
-
-# The legal-transition table, restated independently as the test oracle.
-LEGAL = {
-    (LifecycleState.PENDING, TransitionEvent.ACTIVATE): LifecycleState.ACTIVE,
-    (LifecycleState.PENDING, TransitionEvent.ENQUEUE): LifecycleState.WAITING,
-    (LifecycleState.PENDING, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
-    (LifecycleState.WAITING, TransitionEvent.ACTIVATE): LifecycleState.ACTIVE,
-    (LifecycleState.WAITING, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
-    (LifecycleState.ACTIVE, TransitionEvent.COMPLETE): LifecycleState.COMPLETED,
-    (LifecycleState.ACTIVE, TransitionEvent.FAIL): LifecycleState.FAILED,
-    (LifecycleState.ACTIVE, TransitionEvent.VIOLATE): LifecycleState.VIOLATED,
-}
-
-
-def test_transition_examples():
-    assert transition(LifecycleState.PENDING, TransitionEvent.ACTIVATE) is LifecycleState.ACTIVE
-
-    waiting = transition(LifecycleState.PENDING, TransitionEvent.ENQUEUE)
-    assert transition(waiting, TransitionEvent.ACTIVATE) is LifecycleState.ACTIVE
-
-    done = transition(LifecycleState.ACTIVE, TransitionEvent.COMPLETE)
-    with pytest.raises(IllegalTransition):
-        transition(done, TransitionEvent.ACTIVATE)
-
-
-def test_transition_returns_new_value():
-    # The next state is the value returned; a commitment has no lifecycle
-    # field to update, so nothing is copied on a move.
-    for state, event in itertools.product(LifecycleState, TransitionEvent):
-        expected = LEGAL.get((state, event))
-        if expected is None:
-            with pytest.raises(IllegalTransition):
-                transition(state, event)
-        else:
-            assert transition(state, event) is expected
-    assert "state" not in {f.name for f in dataclasses.fields(Commitment)}
-
-
-@given(events=st.lists(st.sampled_from(list(TransitionEvent)), max_size=12))
-def test_lifecycle_never_leaves_legal_table(events):
-    state = LifecycleState.PENDING
-    for event in events:
-        expected = LEGAL.get((state, event))
-        if expected is None:
-            with pytest.raises(IllegalTransition) as raised:
-                transition(state, event)
-            assert raised.value.state is state and raised.value.event is event
-        else:
-            state = transition(state, event)
-            assert state is expected
-
-
-@given(events=st.lists(st.sampled_from(list(TransitionEvent)), min_size=1, max_size=12))
-def test_terminal_states_accept_nothing(events):
-    state = LifecycleState.PENDING
-    for event in events:
-        if (state, event) not in LEGAL:
-            break
-        state = transition(state, event)
-    if state in (
-        LifecycleState.COMPLETED,
-        LifecycleState.FAILED,
-        LifecycleState.VIOLATED,
-    ):
-        for event in TransitionEvent:
-            with pytest.raises(IllegalTransition):
-                transition(state, event)

@@ -167,6 +167,22 @@ def test_instance_bound_enforced():
         MiniInstance(tuple(R(f"c{i}", arr=i) for i in range(7)))
 
 
+@pytest.mark.parametrize("size", ["0", "-1", "7"])
+def test_oracle_command_rejects_a_size_out_of_range(size, monkeypatch, capsys):
+    # Refused before any instance is enumerated: 0 would check nothing and
+    # exit 0, and 7 would run every size up to 6 before the bound fired.
+    def never(*_args, **_kwargs):
+        raise AssertionError("run_grid called")
+
+    monkeypatch.setattr("commitsched.equivalence.run_grid", never)
+    with pytest.raises(SystemExit) as exited:
+        main(["oracle", size])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument size: invalid choice: {size} (choose from 1, 2, 3, 4, 5, 6)" in captured.err
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError):
         MiniInstance((R("c1"), R("c1", arr=1)))

@@ -213,11 +213,17 @@ def test_violation_releases_scope():
     assert s.snapshot().by_service["svcA"][LifecycleState.VIOLATED] == 1
 
 
-def test_on_complete_rejects_other_outcomes():
-    s = Scheduler()
-    s.submit(make_commitment("c1", R, "d"))
-    with pytest.raises(ValueError):
-        s.on_complete("c1", LifecycleState.VIOLATED)
+@pytest.mark.parametrize(
+    "outcome",
+    [o for o in LifecycleState if o not in (LifecycleState.COMPLETED, LifecycleState.FAILED)],
+)
+def test_on_complete_rejects_other_outcomes(outcome):
+    s = _loaded(Policy.FCFS, ("c2", W, 0))
+    before = s.snapshot()
+    with pytest.raises(ValueError, match="outcome must be completed or failed"):
+        s.on_complete("c1", outcome)
+    assert list(s.active) == ["c1"]
+    assert s.snapshot() == before
 
 
 # -- policy switching -----------------------------------------------------------

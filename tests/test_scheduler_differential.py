@@ -4,13 +4,15 @@
 submission is checked with ``_blocks``, the ``relations`` rule, against
 every active and every queued commitment, and every retire drains with a
 ``select_next`` loop. ``Pairwise`` keeps each id's lifecycle state and
-steps it with ``LEGAL``, the table of ``test_model.py``, so every move it
-makes is legal; its snapshot is a count of those states. Random runs
-drive both side by side and compare every observable after every step,
-the identity of every held and returned commitment included, so the
-scope index, the blocker counts and the one-pass drain must reproduce
-the specification exactly, sign-off scopes included. Retiring a queued
-or retired id must raise ``UnknownId`` and change nothing.
+steps it with ``LEGAL``, its own table of legal moves, so every move it
+makes is legal; its snapshot is a count of those states. The scheduler
+keeps no such table: an id's state is where the scheduler keeps the id.
+Random runs drive both side by side and compare every observable after
+every step, the identity of every held and returned commitment
+included, so the scope index, the blocker counts and the one-pass drain
+must reproduce the specification exactly, sign-off scopes included.
+Retiring a queued or retired id must raise ``UnknownId`` and change
+nothing.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commitsched.errors import UnknownId
-from commitsched.model import (
-    AccessClass,
-    Commitment,
-    LifecycleState,
-    TransitionEvent,
-    Verb,
-)
+from commitsched.model import AccessClass, Commitment, LifecycleState, Verb
 from commitsched.relations import classify, conflicts, same_scope
 from commitsched.scheduler import (
     Decision,
@@ -38,13 +34,19 @@ from commitsched.scheduler import (
 )
 
 from conftest import any_commitment, make_commitment
-from test_model import LEGAL
 
-RETIRE = {
-    "complete": TransitionEvent.COMPLETE,
-    "fail": TransitionEvent.FAIL,
-    "violation": TransitionEvent.VIOLATE,
+# The lifecycle, stated independently of the scheduler: (state, move) -> next
+# state, where None is the state of an id never submitted. Every move the
+# scheduler's API can make is here; any other raises KeyError in Pairwise.
+LEGAL = {
+    (None, "enqueue"): LifecycleState.WAITING,
+    (None, "activate"): LifecycleState.ACTIVE,
+    (LifecycleState.WAITING, "activate"): LifecycleState.ACTIVE,
+    (LifecycleState.ACTIVE, "complete"): LifecycleState.COMPLETED,
+    (LifecycleState.ACTIVE, "fail"): LifecycleState.FAILED,
+    (LifecycleState.ACTIVE, "violation"): LifecycleState.VIOLATED,
 }
+RETIRE = ("complete", "fail", "violation")
 W = AccessClass.WRITER
 
 
@@ -89,27 +91,27 @@ class Pairwise:
         self.state: dict[str, LifecycleState] = {}  # every submitted id
         self.debtor: dict[str, str] = {}
 
-    def _move(self, cid: str, event: TransitionEvent) -> None:
-        self.state[cid] = LEGAL[(self.state.get(cid, LifecycleState.PENDING), event)]
+    def _move(self, cid: str, move: str) -> None:
+        self.state[cid] = LEGAL[(self.state.get(cid), move)]
 
     def submit(self, c) -> Decision:
         self.debtor[c.id] = c.debtor
         blockers = [x.id for x in self.active.values() if _blocks(c, x)]
         blockers += [x.id for x in self.queue if _blocks(c, x)]
         if blockers:
-            self._move(c.id, TransitionEvent.ENQUEUE)
+            self._move(c.id, "enqueue")
             self.queue.append(c)
             return Decision(DecisionKind.WAIT, tuple(blockers))
-        self._move(c.id, TransitionEvent.ACTIVATE)
+        self._move(c.id, "activate")
         self.active[c.id] = c
         return Decision(DecisionKind.EXECUTE)
 
-    def retire(self, cid: str, event: TransitionEvent) -> list:
-        self._move(cid, event)
+    def retire(self, cid: str, move: str) -> list:
+        self._move(cid, move)
         del self.active[cid]
         activated = []
         while (chosen := select_next(self.queue, self.active.values(), self.policy)) is not None:
-            self._move(chosen.id, TransitionEvent.ACTIVATE)
+            self._move(chosen.id, "activate")
             self.queue.remove(chosen)
             self.active[chosen.id] = chosen
             activated.append(chosen)
@@ -123,10 +125,10 @@ class Pairwise:
         return MonitoringReport(counts, tuple(c.id for c in self.queue))
 
 
-def _retire(s: Scheduler, cid: str, event: TransitionEvent) -> list:
-    if event is TransitionEvent.VIOLATE:
+def _retire(s: Scheduler, cid: str, move: str) -> list:
+    if move == "violation":
         return s.on_violation(cid)
-    outcome = LifecycleState.COMPLETED if event is TransitionEvent.COMPLETE else LifecycleState.FAILED
+    outcome = LifecycleState.COMPLETED if move == "complete" else LifecycleState.FAILED
     return s.on_complete(cid, outcome)
 
 
@@ -155,13 +157,13 @@ def _drive(data, s: Scheduler, ref: Pairwise, prefix: str, steps: int) -> None:
             assert s.submit(c) == ref.submit(c)
         elif op == "inactive":
             cid = data.draw(st.sampled_from(inactive), label=op)
-            event = data.draw(st.sampled_from(list(RETIRE.values())), label="event")
+            move = data.draw(st.sampled_from(RETIRE), label="move")
             with pytest.raises(UnknownId):
-                _retire(s, cid, event)
+                _retire(s, cid, move)
         else:
             cid = data.draw(st.sampled_from(sorted(ref.active)), label=op)
-            got = _retire(s, cid, RETIRE[op])
-            assert _identities(got) == _identities(ref.retire(cid, RETIRE[op]))
+            got = _retire(s, cid, op)
+            assert _identities(got) == _identities(ref.retire(cid, op))
         _assert_same_state(s, ref)
 
 

@@ -326,7 +326,7 @@ def test_complete_of_queued_commitment_is_rejected():
         _run_text(text)
     line = len(PREAMBLE.splitlines()) + 3
     assert err.value.line == line
-    assert f"line {line}" in str(err.value) and "'r1'" in str(err.value)
+    assert str(err.value) == f"line {line} (complete): no active commitment 'r1'"
 
 
 def test_unknown_detail_at_submission():

@@ -19,7 +19,6 @@ from commitsched.model import (
     LifecycleState,
     Privacy,
     RESPONSIBILITY_FOR_VERB,
-    TransitionEvent,
     Verb,
     new_commitment,
     new_content,
@@ -176,7 +175,7 @@ def test_parse_event_inverts_line(event):
     assert parsed.kind is event.kind
 
 
-HOT_ENUMS = (LifecycleState, TransitionEvent, Verb, AccessClass, EventKind)
+HOT_ENUMS = (LifecycleState, Verb, AccessClass, EventKind)
 members = st.sampled_from([m for cls in HOT_ENUMS for m in cls])
 
 
