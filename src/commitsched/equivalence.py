@@ -26,6 +26,7 @@ from .model import (
     new_commitment,
 )
 from .oracle import (
+    MAX_INSTANCE,
     READER,
     WRITER,
     MiniCommitment,
@@ -151,7 +152,10 @@ _POLICIES = (Policy.FCFS, Policy.PRIORITY)
 
 
 def run_grid(max_commitments: int = 4) -> GridReport:
-    """Check every instance of the grid; report mismatches and oracle stats."""
+    """Check every instance of 1 to ``max_commitments`` commitments (at most
+    MAX_INSTANCE); report mismatches and oracle stats."""
+    if not 1 <= max_commitments <= MAX_INSTANCE:
+        raise ValueError(f"max_commitments must be 1 to {MAX_INSTANCE}, got {max_commitments}")
     report = GridReport()
     slots = list(product((READER, WRITER), _TARGETS, _PRIORITIES))
     for n in range(1, max_commitments + 1):

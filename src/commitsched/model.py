@@ -283,6 +283,8 @@ def new_commitment(
         raise MismatchedResponsibility(
             f"{content.verb.value!r} requires {expected.value}, got {responsibility.value}"
         )
+    # Also checked by scenario.parse, which can name the column; this copy
+    # guards library callers.
     if content.verb is Verb.SIGNOFF and content.target != debtor:
         raise InvalidContent(
             f"sign-off target must be the debtor ({debtor!r}), got {content.target!r}"

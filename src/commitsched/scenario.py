@@ -30,14 +30,22 @@ Parsing validates verbs, arity and enum words up front; anything else
 (unknown networks, duplicate ids, ...) surfaces at run time. A line is
 read as plain words. A rejection blames one word by its index, and the
 column of that word is computed only then, for the rejected line alone.
+
+Each command parses once to ``Command(verb, line, args)``: ``args`` is a
+tuple in the order of the parameters of the simulator's handler for the
+verb, which is called as ``handler(sim, *args)``. A word that stays a
+string is taken as it is; enum words and integers are converted. A
+submit's args are ``(cid, service, verb, target, priority, guard, owner,
+purpose, veracity, requester, payload)``, with ``None`` in every slot
+its verb leaves unused.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ParseError
 from .model import Privacy, Responsibility, Verb
@@ -45,13 +53,16 @@ from .scheduler import Policy
 from .world import AssignmentStatus
 
 
-@dataclass(frozen=True)
-class Command:
-    """One validated scenario command."""
+class Command(NamedTuple):
+    """One validated scenario command: ``args`` are its handler's arguments in order."""
 
     verb: str
     line: int
-    params: dict[str, Any] = field(default_factory=dict)
+    args: tuple[Any, ...] = ()
+
+
+# ``Command(verb, line, args)`` without the Python-level ``__new__`` call.
+_command = partial(tuple.__new__, Command)
 
 
 @dataclass(frozen=True)
@@ -64,14 +75,6 @@ class Scenario:
 
 class _Rejected(Exception):
     """Raised as ``(index, message)``: the word at fault (0 = command) and why."""
-
-
-def _enum(word: str, table: dict[str, Any], what: str) -> Any:
-    try:
-        return table[word]
-    except KeyError:
-        options = "|".join(sorted(table))
-        raise ValueError(f"bad {what} {word!r} (expected {options})") from None
 
 
 def _int(word: str, what: str, minimum: int = 0) -> int:
@@ -97,52 +100,56 @@ def _arg(words: list[str], i: int, convert: Callable[[str], Any]) -> Any:
         raise _Rejected(i, str(err)) from None
 
 
+class _OneOf(dict):
+    """An enum word's table; an unknown word raises ``ValueError`` naming the options."""
+
+    def __init__(self, table: dict[str, Any], what: str):
+        super().__init__(table)
+        self.what = what
+
+    def __missing__(self, word: str) -> Any:
+        options = "|".join(sorted(self))
+        raise ValueError(f"bad {self.what} {word!r} (expected {options})")
+
+
 def _one_of(table: dict[str, Any], what: str) -> Callable[[str], Any]:
-    return partial(_enum, table=table, what=what)
+    """The converter of an enum word: a lookup with no Python-level call."""
+    return _OneOf(table, what).__getitem__
 
 
 _BOOLS = {"true": True, "false": False}
 _VERB = _one_of({v.value: v for v in Verb}, "action verb")
 _FINISHES = {s.value: s for s in (AssignmentStatus.COMPLETE, AssignmentStatus.FAILED)}
 
-# Fixed-arity command -> (parameter name, converter) for each argument in order.
-_Spec = tuple[tuple[str, Callable[[str], Any]], ...]
+# Fixed-arity command -> the converter of each argument, in handler order.
+# A ``str`` argument is taken as it is, with no call.
+_Spec = tuple[Callable[[str], Any], ...]
 _FIXED: dict[str, _Spec] = {
-    "policy": (("policy", _one_of({p.value: p for p in Policy}, "policy")),),
-    "network": (("name", str),),
-    "purpose": (("network", str), ("token", str)),
-    "signup": (
-        ("service", str),
-        ("network", str),
-        ("accept", _one_of({"accept": True, "reject": False}, "decision")),
-    ),
-    "assign": (
-        ("service", str),
-        ("responsibility", _one_of({r.value: r for r in Responsibility}, "responsibility")),
-    ),
-    "assignment": (("id", str), ("service", str)),
-    "finish-assignment": (("id", str), ("status", _one_of(_FINISHES, "status"))),
-    "detail": (
-        ("key", str),
-        ("owner", str),
-        ("network", str),
-        ("privacy", _one_of({p.value: p for p in Privacy}, "privacy")),
-        ("value", str),
-    ),
-    "ttl": (("ticks", partial(_int, what="ttl")),),
-    "guard": (("name", str), ("value", _one_of(_BOOLS, "guard value"))),
+    "policy": (_one_of({p.value: p for p in Policy}, "policy"),),
+    "network": (str,),
+    "purpose": (str, str),
+    "signup": (str, str, _one_of({"accept": True, "reject": False}, "decision")),
+    "assign": (str, _one_of({r.value: r for r in Responsibility}, "responsibility")),
+    "assignment": (str, str),
+    "finish-assignment": (str, _one_of(_FINISHES, "status")),
+    "detail": (str, str, str, _one_of({p.value: p for p in Privacy}, "privacy"), str),
+    "ttl": (partial(_int, what="ttl"),),
+    "guard": (str, _one_of(_BOOLS, "guard value")),
     "snapshot": (),
 }
 
-# verb -> (least positional args after target, (name, converter) of each)
+# Indexes of the verb slots in a submit's args, which follow
+# (cid, service, verb, target, priority, guard) in handler order.
+_OWNER, _PURPOSE, _VERACITY, _REQUESTER, _PAYLOAD = range(6, 11)
+
+# verb -> (least positional args after target, (slot, converter) of each)
 _SUBMIT_ARGS = {
-    Verb.COLLECT: (2, (("owner", str), ("purpose", str))),
-    Verb.POST: (1, (("veracity", _one_of(_BOOLS, "veracity")), ("payload", str))),
-    Verb.TAMPER: (0, (("payload", str),)),
+    Verb.COLLECT: (2, ((_OWNER, str), (_PURPOSE, str))),
+    Verb.POST: (1, ((_VERACITY, _one_of(_BOOLS, "veracity")), (_PAYLOAD, str))),
+    Verb.TAMPER: (0, ((_PAYLOAD, str),)),
     Verb.SIGNOFF: (0, ()),
-    Verb.REVEAL: (1, (("requester", str),)),
+    Verb.REVEAL: (1, ((_REQUESTER, str),)),
 }
-_NO_ARGS = dict.fromkeys(("owner", "purpose", "veracity", "requester", "payload"))
 
 
 def parse(text: str, source: str = "<string>") -> Scenario:
@@ -156,7 +163,7 @@ def parse(text: str, source: str = "<string>") -> Scenario:
             builder = _BUILDERS.get(words[0])
             if builder is None:
                 raise _Rejected(0, f"unknown command {words[0]!r}")
-            commands.append(Command(words[0], lineno, builder(words)))
+            commands.append(_command((words[0], lineno, builder(words))))
         except _Rejected as err:
             index, message = err.args
             raise ParseError(lineno, _column(raw, index), message) from None
@@ -169,63 +176,71 @@ def _column(raw: str, index: int) -> int:
     return [m.start() + 1 for m in re.finditer(r"\S+", body)][index]
 
 
-def _parse_fixed(words: list[str], spec: _Spec) -> dict[str, Any]:
+def _parse_fixed(words: list[str], spec: _Spec) -> tuple[Any, ...]:
     _exact(words, len(spec))
-    return {name: _arg(words, i, convert) for i, (name, convert) in enumerate(spec, 1)}
+    args = words[1:]
+    for i, convert in enumerate(spec):
+        if convert is not str:
+            args[i] = _arg(words, i + 1, convert)
+    return tuple(args)
 
 
-def _parse_complete(words: list[str]) -> dict[str, Any]:
+def _parse_complete(words: list[str]) -> tuple[str, bool]:
     if not 2 <= len(words) <= 3:
         raise _Rejected(0, "complete takes <cid> [failed]")
     if len(words) == 3 and words[2] != "failed":
         raise _Rejected(2, f"expected 'failed', got {words[2]!r}")
-    return {"cid": words[1], "failed": len(words) == 3}
+    return words[1], len(words) == 3
 
 
-def _parse_tick(words: list[str]) -> dict[str, Any]:
+def _parse_tick(words: list[str]) -> tuple[int]:
     if len(words) > 2:
         raise _Rejected(0, "tick takes at most one argument")
     if len(words) == 2:
-        return {"ticks": _arg(words, 1, partial(_int, what="tick count", minimum=1))}
-    return {"ticks": 1}
+        return (_arg(words, 1, partial(_int, what="tick count", minimum=1)),)
+    return (1,)
 
 
-def _parse_submit(words: list[str]) -> dict[str, Any]:
+def _parse_submit(words: list[str]) -> tuple[Any, ...]:
     if len(words) < 5:
         raise _Rejected(0, "submit takes <cid> <service> <verb> <target> [arg...]")
     service, target = words[2], words[4]
-    verb = _arg(words, 3, _VERB)
+    try:  # _arg inlined: this lookup runs once per submit
+        verb = _VERB(words[3])
+    except ValueError as err:
+        raise _Rejected(3, str(err)) from None
     positional: list[int] = []  # indexes of the words after target
     priority: int | None = None
     guard: str | None = None
     for i in range(5, len(words)):
         word = words[i]
-        if word.startswith("prio="):
+        if "=" not in word:
+            positional.append(i)
+        elif word.startswith("prio="):
             priority = _arg(words, i, lambda w: _int(w[5:], "priority"))
         elif word.startswith("if="):
             guard = word[3:]
             if not guard:
                 raise _Rejected(i, "if= requires a guard name")
-        elif "=" in word:
-            raise _Rejected(i, f"unknown option {word!r}")
         else:
-            positional.append(i)
-    lo, args = _SUBMIT_ARGS[verb]
-    if not lo <= len(positional) <= len(args):
-        span = str(lo) if lo == len(args) else f"{lo}-{len(args)}"
+            raise _Rejected(i, f"unknown option {word!r}")
+    lo, slots = _SUBMIT_ARGS[verb]
+    if not lo <= len(positional) <= len(slots):
+        span = str(lo) if lo == len(slots) else f"{lo}-{len(slots)}"
         raise _Rejected(
             0, f"{words[3]} takes {span} argument(s) after target, got {len(positional)}"
         )
-    params = {"cid": words[1], "service": service, "verb": verb, "target": target,
-              "priority": priority, "guard": guard, **_NO_ARGS}
-    for i, (name, convert) in zip(positional, args):
-        params[name] = _arg(words, i, convert)
+    args = [words[1], service, verb, target, priority, guard, None, None, None, None, None]
+    for i, (slot, convert) in zip(positional, slots):
+        args[slot] = words[i] if convert is str else _arg(words, i, convert)
+    # Also checked by model.new_commitment, which guards library callers;
+    # this copy can name the column.
     if verb is Verb.SIGNOFF and target != service:
         raise _Rejected(4, f"signoff target must be the service itself ({service!r})")
-    return params
+    return tuple(args)
 
 
-_BUILDERS: dict[str, Callable[[list[str]], dict[str, Any]]] = {
+_BUILDERS: dict[str, Callable[[list[str]], tuple[Any, ...]]] = {
     verb: partial(_parse_fixed, spec=spec) for verb, spec in _FIXED.items()
 }
 _BUILDERS.update(submit=_parse_submit, complete=_parse_complete, tick=_parse_tick)

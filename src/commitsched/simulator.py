@@ -111,7 +111,7 @@ class _Sim:
         if handler is None:
             raise self.fail(f"unknown command {cmd.verb!r}")
         try:
-            handler(self, **cmd.params)
+            handler(self, *cmd.args)
         except ScenarioRuntimeError:
             raise
         except EngineError as exc:

@@ -150,7 +150,8 @@ def test_responsibility_verb_pairing(responsibility, verb):
 
 
 def test_signoff_must_target_debtor():
-    with pytest.raises(InvalidContent):
+    # The model's copy of the rule; the parser's copy is a DIAGNOSTICS row.
+    with pytest.raises(InvalidContent, match=r"sign-off target must be the debtor \('svcA'\)"):
         new_commitment(
             "c1",
             CommitmentKind.SOCIAL,

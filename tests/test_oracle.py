@@ -183,6 +183,18 @@ def test_oracle_command_rejects_a_size_out_of_range(size, monkeypatch, capsys):
     assert f"argument size: invalid choice: {size} (choose from 1, 2, 3, 4, 5, 6)" in captured.err
 
 
+@pytest.mark.parametrize("size", [0, 7])
+def test_run_grid_rejects_a_size_out_of_range(size, monkeypatch):
+    # 0 would pass vacuously and 7 would check every size up to 6 first.
+    def never(*_args, **_kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr("commitsched.equivalence.MiniCommitment", never)
+    monkeypatch.setattr("commitsched.equivalence.MiniInstance", never)
+    with pytest.raises(ValueError, match=f"max_commitments must be 1 to 6, got {size}"):
+        run_grid(size)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError):
         MiniInstance((R("c1"), R("c1", arr=1)))

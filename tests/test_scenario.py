@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from commitsched.cli import main
 from commitsched.errors import ParseError
 from commitsched.model import Privacy, Verb
-from commitsched.scenario import parse
+from commitsched.scenario import COMMANDS, Command, parse
 from commitsched.scheduler import Policy
-from commitsched.simulator import run
+from commitsched.simulator import _HANDLERS, run
+
+
+def _by_name(cmd: Command) -> dict:
+    """``cmd.args`` bound to its handler's parameters, by name."""
+    bound = inspect.signature(_HANDLERS[cmd.verb]).bind(None, *cmd.args)
+    del bound.arguments["self"]
+    return dict(bound.arguments)
 
 
 def test_two_commands():
     scenario = parse("policy fcfs\nnetwork facebook\n")
-    assert len(scenario.commands) == 2
-    assert scenario.commands[0].params == {"policy": Policy.FCFS}
-    assert scenario.commands[1].params == {"name": "facebook"}
+    assert scenario.commands == (
+        Command("policy", 1, (Policy.FCFS,)),
+        Command("network", 2, ("facebook",)),
+    )
 
 
 def test_empty_scenario_runs_to_empty_trace():
@@ -33,28 +43,25 @@ def test_comments_and_blanks_ignored():
 def test_tick_requires_positive():
     with pytest.raises(ParseError):
         parse("tick 0")
-    assert parse("tick").commands[0].params == {"ticks": 1}
-    assert parse("tick 5").commands[0].params == {"ticks": 5}
+    assert parse("tick").commands[0].args == (1,)
+    assert parse("tick 5").commands[0].args == (5,)
 
 
 def test_submit_collect_shape():
     cmd = parse("submit c1 svcA collect email svcB analytics prio=3 if=g1").commands[0]
-    assert cmd.params["verb"] is Verb.COLLECT
-    assert cmd.params["owner"] == "svcB"
-    assert cmd.params["purpose"] == "analytics"
-    assert cmd.params["priority"] == 3
-    assert cmd.params["guard"] == "g1"
+    assert cmd.args == ("c1", "svcA", Verb.COLLECT, "email", 3, "g1",
+                        "svcB", "analytics", None, None, None)
 
 
 def test_submit_post_veracity_enum():
-    cmd = parse("submit c1 svcA post wall true hello").commands[0]
-    assert cmd.params["veracity"] is True
-    assert cmd.params["payload"] == "hello"
+    named = _by_name(parse("submit c1 svcA post wall true hello").commands[0])
+    assert named["veracity"] is True
+    assert named["payload"] == "hello"
 
 
 def test_submit_signoff_target_must_match_service():
     cmd = parse("submit c1 svcA signoff svcA").commands[0]
-    assert cmd.params["target"] == "svcA"
+    assert _by_name(cmd)["target"] == "svcA"
 
 
 def test_submit_reveal_needs_requester():
@@ -63,18 +70,77 @@ def test_submit_reveal_needs_requester():
 
 
 def test_complete_forms():
-    assert parse("complete c1").commands[0].params == {"cid": "c1", "failed": False}
-    assert parse("complete c1 failed").commands[0].params == {"cid": "c1", "failed": True}
+    assert parse("complete c1").commands[0].args == ("c1", False)
+    assert parse("complete c1 failed").commands[0].args == ("c1", True)
 
 
 def test_guard_values():
-    assert parse("guard g1 true").commands[0].params == {"name": "g1", "value": True}
+    assert parse("guard g1 true").commands[0].args == ("g1", True)
 
 
 def test_detail_shape():
     cmd = parse("detail email svcA fb private addr0").commands[0]
-    assert cmd.params["privacy"] is Privacy.PRIVATE
-    assert cmd.params["value"] == "addr0"
+    assert cmd.args == ("email", "svcA", "fb", Privacy.PRIVATE, "addr0")
+
+
+# -- parsed arguments match the handlers ---------------------------------------------
+# ``_Sim.step`` calls ``handler(self, *cmd.args)``: the parser and the
+# handlers agree only by position, so each position is checked by name.
+
+VALID = {
+    "policy": "policy priority",
+    "network": "network fb",
+    "purpose": "purpose fb ads",
+    "signup": "signup svcA fb accept",
+    "assign": "assign svcA resp2",
+    "assignment": "assignment a1 svcA",
+    "finish-assignment": "finish-assignment a1 failed",
+    "detail": "detail email svcA fb private addr0",
+    "ttl": "ttl 3",
+    "guard": "guard g1 true",
+    "snapshot": "snapshot",
+    "submit": "submit c1 svcA post wall true hello",
+    "complete": "complete c1 failed",
+    "tick": "tick 2",
+}
+
+
+def test_every_command_has_a_valid_line():
+    assert set(VALID) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("word", COMMANDS)
+def test_parsed_args_fill_the_handler_parameters(word):
+    (cmd,) = parse(VALID[word]).commands
+    params = list(inspect.signature(_HANDLERS[word]).parameters.values())[1:]  # no self
+    positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    assert positional == params
+    assert len(cmd.args) == len(positional)
+
+
+_SUBMIT_BASE = {"cid": "c1", "service": "svcA", "priority": 7, "guard": "g",
+                "owner": None, "purpose": None, "veracity": None,
+                "requester": None, "payload": None}
+
+SUBMIT_SLOTS = [
+    ("submit c1 svcA collect email svcB analytics prio=7 if=g",
+     {"verb": Verb.COLLECT, "target": "email", "owner": "svcB", "purpose": "analytics"}),
+    ("submit c1 svcA post wall false hello prio=7 if=g",
+     {"verb": Verb.POST, "target": "wall", "veracity": False, "payload": "hello"}),
+    ("submit c1 svcA tamper wall junk prio=7 if=g",
+     {"verb": Verb.TAMPER, "target": "wall", "payload": "junk"}),
+    ("submit c1 svcA signoff svcA prio=7 if=g", {"verb": Verb.SIGNOFF, "target": "svcA"}),
+    ("submit c1 svcA reveal email svcC prio=7 if=g",
+     {"verb": Verb.REVEAL, "target": "email", "requester": "svcC"}),
+]
+
+
+@pytest.mark.parametrize(
+    "text,slots", SUBMIT_SLOTS, ids=[text.split()[3] for text, _ in SUBMIT_SLOTS]
+)
+def test_submit_slots_land_in_their_parameters(text, slots):
+    (cmd,) = parse(text).commands
+    assert _by_name(cmd) == {**_SUBMIT_BASE, **slots}
 
 
 # -- every diagnostic, pinned ----------------------------------------------------------

@@ -93,7 +93,7 @@ def test_every_scenario_command_has_a_handler():
 
 
 def test_unknown_command_names_its_line():
-    scenario = Scenario((Command("network", 1, {"name": "fb"}), Command("withdraw", 3, {})))
+    scenario = Scenario((Command("network", 1, ("fb",)), Command("withdraw", 3, ())))
     with pytest.raises(ScenarioRuntimeError) as err:
         run(scenario)
     assert err.value.line == 3
