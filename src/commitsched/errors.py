@@ -49,10 +49,6 @@ class UnknownAssignment(EngineError):
     """No assignment with this id."""
 
 
-class NoCollectionRecord(EngineError):
-    """No approved collection exists for the detail."""
-
-
 class DuplicateDetail(EngineError):
     """Detail key already exists."""
 

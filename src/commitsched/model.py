@@ -21,8 +21,8 @@ the dataclass's own.
 ``new_content`` builds a ``ContentAction`` without ``__init__`` too,
 setting each field itself; it and the constructor's ``__post_init__``
 both validate with ``_check_content``, the one statement of the content
-rule. The run path also builds a world's ``Detail`` and
-``CollectionRecord`` with ``_build``.
+rule. The run path also builds the ``detail`` command's world
+``Detail`` with ``_build``.
 
 Enums used as dictionary keys on the per-commitment path hash by
 identity (``__hash__ = object.__hash__``, computed without running Python

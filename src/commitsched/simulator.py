@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import EngineError, NoCollectionRecord, ScenarioRuntimeError
+from .errors import EngineError, ScenarioRuntimeError
 from .model import (
     Commitment,
     CommitmentKind,
@@ -153,7 +153,6 @@ class _Sim:
             "network": network,
             "privacy": privacy,
             "value": value,
-            "veracity": True,
         }))
 
     def _do_ttl(self, ticks: int) -> None:
@@ -255,22 +254,20 @@ class _Sim:
     def _execute(self, c: Commitment) -> Violation | None:
         verb = c.content.verb
         if verb is Verb.COLLECT:
-            result = exec_collect(
-                self.world, c.debtor, c.content.target, c.content.purpose, self.clock
-            )
-            if isinstance(result, Violation):
-                return result
-            self.world.with_collection(result)
-            return None
+            target = c.content.target
+            violation = exec_collect(self.world, c.debtor, target, c.content.purpose, self.clock)
+            if violation is None:
+                self.world.with_collection(target, self.clock)
+            return violation
         if verb is Verb.POST:
             return self._write(c, veracity=bool(c.content.veracity))
         if verb is Verb.TAMPER:
-            try:
-                return exec_tamper_guard(self.world, c.content.target)
-            except NoCollectionRecord:
+            violation = exec_tamper_guard(self.world, c.content.target)
+            if violation is None:
                 # Nothing was ever collected: the attempt degrades to an
                 # ordinary write and answers to resp2 instead.
                 return self._write(c, veracity=True)
+            return violation
         if verb is Verb.SIGNOFF:
             result = exec_signoff(self.world, c.debtor)
             if isinstance(result, Violation):
@@ -285,14 +282,13 @@ class _Sim:
 
     def _write(self, c: Commitment, veracity: bool) -> Violation | None:
         detail = self.world.details.get(c.content.target)
-        network = detail.network if detail else c.creditor
         result = exec_post(
             self.world,
             c.debtor,
             c.content.target,
             veracity,
             self.clock,
-            network=network if network in self.world.networks else None,
+            network=c.creditor,
             value=c.content.payload,
         )
         if isinstance(result, Violation):

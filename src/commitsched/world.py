@@ -1,19 +1,23 @@
 """Shared social-network state and the five responsibility checks.
 
-The world holds networks, memberships, owned details (each with a
-privacy level), approved collection records, and work assignments. It
-is one mutable store with a single owner, the simulator, as the
-scheduler is: no caller reads an older state, so no write copies one.
+The world holds networks, their purpose tokens, memberships, owned
+details (each with a privacy level), the newest approval tick of each
+collected detail, and work assignments: only what a check reads. It is
+one mutable store with a single owner, the simulator, as the scheduler
+is: no caller reads an older state, so no write copies one.
 
-The ``exec_*`` checks are pure. Each reads the store and returns either
-a ``Violation`` naming the breached responsibility or the write it
-wants, which the owner applies with one ``with_*``/``without_*`` call.
-A violation therefore never changes the world. ``register`` in the
-simulator likewise validates a signup before it writes anything.
+The ``exec_*`` checks are pure. Each reads the store and returns a
+``Violation`` naming the breached responsibility, the write it wants,
+or ``None``. The owner applies a wanted write with one
+``with_*``/``without_*`` call. ``None`` carries no value: a collect
+that passed (the owner writes its approval with ``with_collection``),
+or a tamper on a detail nobody collected (the owner runs it as a post).
+A violation never changes the world. ``register`` in the simulator
+likewise validates a signup before it writes anything.
 
-Next to the records themselves the store keeps three indexes, each
-updated by the write that changes what it is derived from, so every
-write and every check is O(1) in the size of the world:
+Three of the store's maps are indexes, each updated by the write that
+changes what it is derived from, so every write and every check is O(1)
+in the size of the world:
   members          the networks of each member service;
   latest_approval  the newest approval tick of each collected detail;
                    resp3 asks only whether a detail has one, and an
@@ -41,14 +45,13 @@ from .errors import (
     DuplicateAssignment,
     DuplicateDetail,
     IllegalStatusChange,
-    NoCollectionRecord,
     OwnerNotMember,
     UnknownAssignment,
     UnknownDetail,
     UnknownNetwork,
     UnknownService,
 )
-from .model import Privacy, Responsibility, _build, _evolve
+from .model import Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
 
@@ -68,18 +71,6 @@ class Detail:
     network: str
     privacy: Privacy
     value: str
-    veracity: bool = True
-
-
-@dataclass(frozen=True)
-class CollectionRecord:
-    """Approved collection of a detail; immutable, snapshots the value."""
-
-    detail_key: str
-    collector: str
-    purpose: str
-    approved_at: int
-    snapshot: str
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,6 @@ class WorldState:
         self.purposes: dict[str, set[str]] = {}
         self.members: dict[str, set[str]] = {}  # service -> its networks
         self.details: dict[str, Detail] = {}
-        self.collections: list[CollectionRecord] = []
         self.latest_approval: dict[str, int] = {}  # detail key -> newest approved_at
         self.assignments: dict[str, Assignment] = {}
         self.ongoing: dict[str, dict[str, None]] = {}  # service -> ongoing ids, in order
@@ -178,13 +168,12 @@ class WorldState:
             raise UnknownDetail(f"no detail {detail.key!r}")
         self.details[detail.key] = detail
 
-    def with_collection(self, record: CollectionRecord) -> None:
-        key = record.detail_key
+    def with_collection(self, key: str, approved_at: int) -> None:
+        """Record an approved collection of ``key``; the newest tick is kept."""
         if key not in self.details:
             raise UnknownDetail(f"no detail {key!r}")
-        self.collections.append(record)
         latest = self.latest_approval
-        latest[key] = max(record.approved_at, latest.get(key, record.approved_at))
+        latest[key] = max(approved_at, latest.get(key, approved_at))
 
     def with_assignment(self, assignment: Assignment) -> None:
         if assignment.id in self.assignments:
@@ -221,10 +210,11 @@ def valid(w: WorldState, network: str, purpose: str) -> bool:
 
 def exec_collect(
     w: WorldState, collector: str, detail_key: str, purpose: str, t: int
-) -> CollectionRecord | Violation:
+) -> Violation | None:
     """Collect a detail: needs a valid purpose and network membership (resp1).
 
-    Returns the record to write with ``with_collection``.
+    Returns None when the collect is approved: write the approval with
+    ``with_collection(detail_key, t)``.
     """
     d = w.details.get(detail_key)
     if d is None:
@@ -233,13 +223,7 @@ def exec_collect(
         return Violation(Responsibility.RESP1, "invalid-purpose")
     if not w.is_member(collector, d.network):
         return Violation(Responsibility.RESP1, "collector-not-member")
-    return _build(CollectionRecord, {
-        "detail_key": detail_key,
-        "collector": collector,
-        "purpose": purpose,
-        "approved_at": t,
-        "snapshot": d.value,
-    })
+    return None
 
 
 def exec_post(
@@ -270,22 +254,21 @@ def exec_post(
         return Violation(Responsibility.RESP2, "poster-not-member")
     new_value = value if value is not None else f"{poster}@t{t}"
     if d is not None:
-        return _evolve(d, value=new_value, veracity=True)
+        return _evolve(d, value=new_value)
     return Detail(detail_key, poster, net, Privacy.PUBLIC, new_value)
 
 
-def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation:
+def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation | None:
     """A tamper attempt on collected data is always a breach (resp3).
 
-    Collection records are immutable values, so the snapshot survives
-    untouched; the attempt is merely recorded as a violation. Without an
-    approved collection the guard does not apply and NoCollectionRecord
-    is raised: the action degrades to an ordinary write under resp2.
+    The guard writes nothing: a detail with an approved collection gets
+    the violation. Without one the guard does not apply and returns
+    None: the action degrades to an ordinary write under resp2.
     """
     if detail_key not in w.details:
         raise UnknownDetail(f"no detail {detail_key!r}")
     if detail_key not in w.latest_approval:
-        raise NoCollectionRecord(f"no approved collection for {detail_key!r}")
+        return None
     return Violation(Responsibility.RESP3, "tamper-after-collection")
 
 
@@ -309,8 +292,8 @@ def exec_reveal(w: WorldState, detail_key: str, requester: str, t: int) -> str |
     """Reveal a detail's value to a requester (resp5).
 
     Members always get the value. Non-members never see private details;
-    for public ones the disclosure is authorized only while an approved
-    collection record is younger than ``reveal_ttl`` ticks.
+    for public ones the disclosure is authorized only while the newest
+    approved collection is at most ``reveal_ttl`` ticks old.
     """
     d = w.details.get(detail_key)
     if d is None:

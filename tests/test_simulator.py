@@ -340,6 +340,7 @@ def test_post_with_explicit_priority_may_create_detail():
     result = _run_text(text)
     assert result.world.details["story"].value == "v0"
     assert result.world.details["story"].owner == "alpha"
+    assert result.world.details["story"].network == "fb"
 
 
 # -- determinism and monitoring --------------------------------------------------------------

@@ -26,7 +26,7 @@ from commitsched.model import (
 from commitsched.scenario import parse
 from commitsched.simulator import run
 from commitsched.trace import EventKind, ScheduleEvent, parse_event
-from commitsched.world import CollectionRecord, Detail, WorldState, exec_collect
+from commitsched.world import Detail, WorldState, exec_post
 
 names = st.text(alphabet="abcxyz019-", min_size=1, max_size=6)
 tokens = st.text(alphabet="abc=, .", max_size=6)
@@ -190,7 +190,7 @@ def test_hot_enum_members_hash_by_identity(a, b):
     assert {a: 1}.get(b) == (1 if a is b else None)
 
 
-# -- ContentAction, CollectionRecord and Detail built without __init__ ----------
+# -- ContentAction and Detail built without __init__ ---------------------------
 
 REQUIRED = {
     Verb.COLLECT: ("owner", "purpose"),
@@ -262,19 +262,18 @@ def test_constructor_and_builder_share_one_content_check(monkeypatch):
     assert seen == [(Verb.POST, "d", None, None, True, None)] * 2
 
 
-@given(collector=names, owner=names, key=names, purpose=names, value=names,
-       t=st.integers(0, 10**6))
-def test_exec_collect_record_equals_the_constructed_value(collector, owner, key, purpose,
-                                                          value, t):
+@given(owner=names, poster=names, key=names, value=names, new_value=names,
+       privacy=st.sampled_from(list(Privacy)), t=st.integers(0, 10**6))
+def test_exec_post_update_equals_the_constructed_value(owner, poster, key, value, new_value,
+                                                       privacy, t):
     w = WorldState()
     w.with_network("n")
-    w.with_purpose("n", purpose)
     w.with_member(owner, "n")
-    if collector != owner:
-        w.with_member(collector, "n")
-    w.with_detail(Detail(key, owner, "n", Privacy.PUBLIC, value))
-    record = exec_collect(w, collector, key, purpose, t)
-    _assert_indistinguishable(record, CollectionRecord(key, collector, purpose, t, value))
+    if poster != owner:
+        w.with_member(poster, "n")
+    w.with_detail(Detail(key, owner, "n", privacy, value))
+    updated = exec_post(w, poster, key, True, t, value=new_value)
+    _assert_indistinguishable(updated, Detail(key, owner, "n", privacy, new_value))
 
 
 @given(owner=names, key=names, value=names, privacy=st.sampled_from(list(Privacy)))
@@ -285,4 +284,3 @@ def test_detail_command_equals_the_constructed_value(owner, key, value, privacy)
     )
     built = run(parse(text)).world.details[key]
     _assert_indistinguishable(built, Detail(key, owner, "n", privacy, value))
-    assert built.veracity is True

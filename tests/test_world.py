@@ -14,7 +14,6 @@ from commitsched.errors import (
     DuplicateDetail,
     EngineError,
     IllegalStatusChange,
-    NoCollectionRecord,
     OwnerNotMember,
     UnknownAssignment,
     UnknownDetail,
@@ -25,7 +24,6 @@ from commitsched.model import Privacy, Responsibility
 from commitsched.world import (
     Assignment,
     AssignmentStatus,
-    CollectionRecord,
     Detail,
     Violation,
     WorldState,
@@ -56,16 +54,12 @@ def test_valid_unknown_network(small_world):
 # -- collect ----------------------------------------------------------------
 
 def test_collect_appends_record(small_world):
-    record = exec_collect(small_world, "svcB", "email", "analytics", t=3)
-    assert not isinstance(record, Violation)
-    assert record.detail_key == "email"
-    assert record.collector == "svcB"
-    assert record.approved_at == 3
-    assert record.snapshot == "addr0"
-    assert small_world.collections == []  # the check writes nothing
-    small_world.with_collection(record)
-    assert small_world.collections == [record]
+    detail = small_world.details["email"]
+    assert exec_collect(small_world, "svcB", "email", "analytics", t=3) is None
+    assert small_world.latest_approval == {}  # the check writes nothing
+    small_world.with_collection("email", 3)
     assert small_world.latest_approval == {"email": 3}
+    assert small_world.details["email"] is detail  # a collect leaves the detail alone
 
 
 def test_collect_invalid_purpose(small_world):
@@ -81,6 +75,9 @@ def test_collect_nonmember(small_world):
 def test_collect_unknown_detail(small_world):
     with pytest.raises(UnknownDetail):
         exec_collect(small_world, "svcB", "ghost", "analytics", t=0)
+    with pytest.raises(UnknownDetail):
+        small_world.with_collection("ghost", 0)
+    assert small_world.latest_approval == {}
 
 
 # -- post --------------------------------------------------------------------
@@ -91,7 +88,6 @@ def test_post_updates_value(small_world):
     assert small_world.details["email"].value == "addr0"  # the check writes nothing
     small_world.with_detail_value(d)
     assert small_world.details["email"].value == "addr1"
-    assert small_world.details["email"].veracity is True
     assert small_world.details["email"].owner == "svcA"  # ownership survives updates
 
 
@@ -127,7 +123,8 @@ def test_post_without_network_for_fresh_key(small_world):
 # -- tamper ---------------------------------------------------------------------
 
 def _with_record(w: WorldState, t: int = 0) -> WorldState:
-    w.with_collection(exec_collect(w, "svcB", "email", "analytics", t=t))
+    assert exec_collect(w, "svcB", "email", "analytics", t=t) is None
+    w.with_collection("email", t)
     return w
 
 
@@ -137,23 +134,31 @@ def test_tamper_after_collection(small_world):
 
 
 def test_tamper_without_collection(small_world):
-    with pytest.raises(NoCollectionRecord):
-        exec_tamper_guard(small_world, "email")
+    before = _snapshot(small_world)
+    assert exec_tamper_guard(small_world, "email") is None
+    assert vars(small_world) == before  # the guard writes nothing
+    with pytest.raises(UnknownDetail):  # a missing detail is still an error
+        exec_tamper_guard(small_world, "ghost")
 
 
 def test_repeated_tampers_leave_snapshot_alone(small_world):
     w = _with_record(small_world)
+    detail = w.details["email"]
     for _ in range(2):
         result = exec_tamper_guard(w, "email")
         assert result == Violation(Responsibility.RESP3, "tamper-after-collection")
-    assert w.collections[0].snapshot == "addr0"
+    assert w.details["email"] is detail
+    assert w.latest_approval == {"email": 0}
 
 
 def test_snapshot_survives_later_posts(small_world):
     w = _with_record(small_world)
     w.with_detail_value(exec_post(w, "svcB", "email", True, t=1, value="changed"))
-    assert w.collections[0].snapshot == "addr0"
     assert w.details["email"].value == "changed"
+    assert w.latest_approval == {"email": 0}  # a post neither adds nor drops an approval
+    assert exec_tamper_guard(w, "email") == Violation(
+        Responsibility.RESP3, "tamper-after-collection"
+    )
 
 
 # -- signoff -----------------------------------------------------------------------
@@ -208,7 +213,7 @@ def test_reveal_public_expired(small_world):
     assert result == Violation(Responsibility.RESP5, "authorization-expired")
     # A newer approval authorizes again; an older one added later does not expire it.
     w = _with_record(w, t=4)
-    w.with_collection(CollectionRecord("email", "svcB", "analytics", 0, "addr0"))
+    w.with_collection("email", 0)
     assert exec_reveal(w, "email", "outsider", t=9) == "addr0"
     assert isinstance(exec_reveal(w, "email", "outsider", t=10), Violation)
 
@@ -350,9 +355,7 @@ _steps = st.one_of(
         st.just("detail"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES),
         st.sampled_from(_NETWORKS), st.sampled_from(list(Privacy)),
     ),
-    st.tuples(
-        st.just("record"), st.sampled_from(_KEYS), st.sampled_from(_SERVICES), _ticks
-    ),
+    st.tuples(st.just("record"), st.sampled_from(_KEYS), _ticks),
     st.tuples(st.just("assignment"), st.sampled_from(_IDS), st.sampled_from(_SERVICES)),
     st.tuples(
         st.just("finish"), st.sampled_from(_IDS), st.sampled_from(list(AssignmentStatus))
@@ -387,16 +390,16 @@ def _apply(w: WorldState, step):
         key, owner, network, privacy = args
         return w.with_detail(Detail(key, owner, network, privacy, f"{key}0"))
     if op == "record":
-        key, collector, t = args
-        return w.with_collection(CollectionRecord(key, collector, "analytics", t, "v"))
+        return w.with_collection(*args)
     if op == "assignment":
         return w.with_assignment(Assignment(*args))
     if op == "finish":
         return w.with_finished_assignment(*args)
     if op == "collect":
+        _, key, _, t = args
         result = exec_collect(w, *args)
-        if not isinstance(result, Violation):
-            w.with_collection(result)
+        if result is None:
+            w.with_collection(key, t)
         return result
     if op == "post":
         poster, key, veracity, network, t = args
@@ -416,7 +419,7 @@ def _apply(w: WorldState, step):
     return exec_reveal(w, key, requester, t)
 
 
-def _must_breach(w: WorldState, step) -> bool:
+def _must_breach(w: WorldState, approvals: list[tuple[str, int]], step) -> bool:
     """True for the steps whose input alone shows a breached responsibility."""
     op, *args = step
     if op == "collect":
@@ -426,7 +429,7 @@ def _must_breach(w: WorldState, step) -> bool:
         return not args[2]
     if op == "tamper":
         key = args[0]
-        return key in w.details and any(r.detail_key == key for r in w.collections)
+        return key in w.details and any(k == key for k, _ in approvals)
     if op == "signoff":
         svc = args[0]
         return bool(w.member_networks(svc)) and any(
@@ -444,13 +447,20 @@ def _must_breach(w: WorldState, step) -> bool:
     return False
 
 
-def _follow(pairs: set[tuple[str, str]], step, result) -> None:
-    """Apply a step that passed to ``pairs``, the (service, network) memberships."""
+def _follow(
+    pairs: set[tuple[str, str]], approvals: list[tuple[str, int]], step, result
+) -> None:
+    """Apply a step that passed to ``pairs``, the (service, network) memberships,
+    and to ``approvals``, the (detail key, tick) of every approved collection."""
     op, *args = step
     if op == "member":
         pairs.add(tuple(args))
     elif op == "leave" or (op == "signoff" and not isinstance(result, Violation)):
         pairs.difference_update({p for p in pairs if p[0] == args[0]})
+    elif op == "record":
+        approvals.append(tuple(args))
+    elif op == "collect" and result is None:
+        approvals.append((args[1], args[3]))
 
 
 def _answers(w: WorldState):
@@ -462,8 +472,11 @@ def _answers(w: WorldState):
     )
 
 
-def _scanned(w: WorldState, pairs: set[tuple[str, str]]):
-    """The same answers, from the memberships applied and a scan of the records."""
+def _scanned(
+    w: WorldState, pairs: set[tuple[str, str]], approvals: list[tuple[str, int]]
+):
+    """The same answers, from the memberships and approvals applied and a scan
+    of the assignments."""
     return (
         [
             (
@@ -473,9 +486,9 @@ def _scanned(w: WorldState, pairs: set[tuple[str, str]]):
             for svc in _SERVICES
         ],
         {
-            k: max(r.approved_at for r in w.collections if r.detail_key == k)
+            k: max(t for key, t in approvals if key == k)
             for k in _KEYS
-            if any(r.detail_key == k for r in w.collections)
+            if any(key == k for key, _ in approvals)
         },
         [
             tuple(
@@ -491,10 +504,11 @@ def _scanned(w: WorldState, pairs: set[tuple[str, str]]):
 def test_indexes_match_scans_after_every_step(steps):
     w = _base_world()
     pairs = {("svcA", "fb"), ("svcB", "fb"), ("svcC", "li")}
+    approvals: list[tuple[str, int]] = []  # the test's own log; the store keeps none
     for step in steps:
         before = _snapshot(w)
         # Judged on the store the step runs on: a passed step may change it.
-        must = _must_breach(w, step)
+        must = _must_breach(w, approvals, step)
         try:
             result = _apply(w, step)
         except EngineError:
@@ -504,10 +518,10 @@ def test_indexes_match_scans_after_every_step(steps):
             continue
         if must:
             assert isinstance(result, Violation)
-        if isinstance(result, Violation):
-            assert vars(w) == before
-        _follow(pairs, step, result)
-        assert _answers(w) == _scanned(w, pairs)
+        if isinstance(result, Violation) or step[0] == "tamper":
+            assert vars(w) == before  # the tamper guard writes nothing either way
+        _follow(pairs, approvals, step, result)
+        assert _answers(w) == _scanned(w, pairs, approvals)
 
 
 # -- cost at size ------------------------------------------------------------------------
@@ -534,16 +548,17 @@ def test_writes_allocate_independently_of_world_size():
         w.with_member(f"s{i}", "fb")
     for i in range(n):
         w.with_detail(Detail(f"d{i}", "s0", "fb", Privacy.PUBLIC, "v0"))
-        w.with_collection(CollectionRecord(f"d{i}", "s1", "analytics", 0, "v0"))
+        w.with_collection(f"d{i}", 0)
     w.with_detail(Detail("hot", "s0", "fb", Privacy.PUBLIC, "v0"))
-    for _ in range(n):  # one detail with n records of its own
-        w.with_collection(CollectionRecord("hot", "s1", "analytics", 0, "v0"))
+    for _ in range(n):  # one detail approved n times
+        w.with_collection("hot", 0)
     for i in range(n):
         w.with_assignment(Assignment(f"a{i}", "s2"))
     w.with_assignment(Assignment("c0", "s3"))
 
     def collect():
-        w.with_collection(exec_collect(w, "s1", "hot", "analytics", t=1))
+        assert exec_collect(w, "s1", "hot", "analytics", t=1) is None
+        w.with_collection("hot", 1)
 
     def sign_off():
         assert exec_signoff(w, "s7") == ("fb",)
@@ -563,4 +578,5 @@ def test_writes_allocate_independently_of_world_size():
     }
     for name, call in writes.items():
         assert _peak_bytes(call) <= budget, name
-    assert len(w.collections) == 2 * n + 1 and w.ongoing_assignments("s2")[-1] == "b0"
+    assert len(w.latest_approval) == n + 1 and w.latest_approval["hot"] == 1
+    assert w.ongoing_assignments("s2")[-1] == "b0"
