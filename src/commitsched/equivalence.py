@@ -12,7 +12,6 @@ drains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
@@ -56,15 +55,17 @@ def _real_commitment(mini: MiniCommitment) -> Commitment:
     )
 
 
-@dataclass
 class GridReport:
-    instances: int = 0       # (combination, completion order, policy) runs
-    passed: int = 0          # runs that replayed clean
-    combinations: int = 0
-    states_explored: int = 0
-    unsafe_states: int = 0
-    undrained: int = 0
-    mismatches: list[str] = field(default_factory=list)
+    """Counts and mismatches of one ``run_grid``, filled in as it runs."""
+
+    def __init__(self):
+        self.instances = 0       # (combination, completion order, policy) runs
+        self.passed = 0          # runs that replayed clean
+        self.combinations = 0
+        self.states_explored = 0
+        self.unsafe_states = 0
+        self.undrained = 0
+        self.mismatches: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -9,20 +9,21 @@ and the two derivations every commitment carries:
   * priority     - explicit override, else 10 for private target details
                    and 0 otherwise (private outranks public).
 
-All types are frozen dataclasses. A commitment carries no lifecycle
-state: ``LifecycleState`` only names the states, and the scheduler keeps
-them as where each id lives (active, queued, or tallied under its final
+Every value type subclasses ``Frozen``, which makes it immutable and
+compares, hashes and prints it by its annotated fields, and has a plain
+``__init__`` that sets each field. A commitment carries no lifecycle state:
+``LifecycleState`` only names the states, and the scheduler keeps them
+as where each id lives (active, queued, or tallied under its final
 state). So a commitment is built once and never copied.
 ``new_commitment`` validates its arguments itself and fills a fresh
 instance dictionary in one step (``_build``), without ``__init__``;
 ``_evolve`` copies a detail or an assignment of the world the same
-way. Equality, hashing, ``repr`` and the frozen-attribute check stay
-the dataclass's own.
+way. Equality, hashing, ``repr`` and the frozen-attribute check are
+``Frozen``'s, whichever way a value was made.
 ``new_content`` builds a ``ContentAction`` without ``__init__`` too,
-setting each field itself; it and the constructor's ``__post_init__``
-both validate with ``_check_content``, the one statement of the content
-rule. The run path also builds the ``detail`` command's world
-``Detail`` with ``_build``.
+setting each field itself; it and the constructor both validate with
+``_check_content``, the one statement of the content rule. The run path
+also builds the ``detail`` command's world ``Detail`` with ``_build``.
 
 Enums used as dictionary keys on the per-commitment path hash by
 identity (``__hash__ = object.__hash__``, computed without running Python
@@ -31,8 +32,8 @@ code); their equality is identity already.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import (
@@ -114,6 +115,42 @@ PRIORITY_PUBLIC = 0
 PRIORITY_PRIVATE = 10
 
 
+class Frozen:
+    """Base of the immutable value types; the fields are the class annotations.
+
+    ``_fields`` names them in declaration order and ``_astuple(obj)``
+    gives their values. Equality holds only between instances of one
+    class, the hash is that of the value tuple, and ``repr`` reads
+    ``Name(field=value, ...)``: all three as a frozen dataclass makes
+    them. Setting or deleting an attribute raises ``AttributeError``, so
+    a subclass ``__init__`` sets each field with ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__annotations__)
+        get = attrgetter(*fields)
+        # ``attrgetter`` of one name returns the value itself, not a 1-tuple.
+        cls._astuple = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._astuple(self)))
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _check_content(verb, target, owner, purpose, veracity, requester) -> None:
     """Raise InvalidContent unless the arguments make a valid content action."""
     if not target:
@@ -126,8 +163,7 @@ def _check_content(verb, target, owner, purpose, veracity, requester) -> None:
         raise InvalidContent("reveal requires a requester")
 
 
-@dataclass(frozen=True)
-class ContentAction:
+class ContentAction(Frozen):
     """Action a commitment pledges: a verb plus verb-specific arguments.
 
     ``target`` names a detail key, except for sign-off where it names the
@@ -138,20 +174,26 @@ class ContentAction:
 
     verb: Verb
     target: str
-    owner: str | None = None
-    purpose: str | None = None
-    veracity: bool | None = None
-    requester: str | None = None
-    payload: str | None = None
+    owner: str | None
+    purpose: str | None
+    veracity: bool | None
+    requester: str | None
+    payload: str | None
 
-    def __post_init__(self):
-        _check_content(
-            self.verb, self.target, self.owner, self.purpose, self.veracity, self.requester
-        )
+    def __init__(self, verb, target, owner=None, purpose=None, veracity=None, requester=None,
+                 payload=None):
+        _check_content(verb, target, owner, purpose, veracity, requester)
+        put = object.__setattr__
+        put(self, "verb", verb)
+        put(self, "target", target)
+        put(self, "owner", owner)
+        put(self, "purpose", purpose)
+        put(self, "veracity", veracity)
+        put(self, "requester", requester)
+        put(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class Commitment:
+class Commitment(Frozen):
     """One scheduled pledge.
 
     ``target_owner`` snapshots the owner of the target detail at
@@ -169,14 +211,28 @@ class Commitment:
     access: AccessClass
     priority: int
     arrival: int
-    target_owner: str | None = None
+    target_owner: str | None
+
+    def __init__(self, id, kind, responsibility, debtor, creditor, content, access, priority,
+                 arrival, target_owner=None):
+        put = object.__setattr__
+        put(self, "id", id)
+        put(self, "kind", kind)
+        put(self, "responsibility", responsibility)
+        put(self, "debtor", debtor)
+        put(self, "creditor", creditor)
+        put(self, "content", content)
+        put(self, "access", access)
+        put(self, "priority", priority)
+        put(self, "arrival", arrival)
+        put(self, "target_owner", target_owner)
 
 
 def _build(cls, fields: dict):
-    """Instance of the frozen dataclass ``cls`` whose attributes are ``fields``.
+    """Instance of the ``Frozen`` class ``cls`` whose attributes are ``fields``.
 
-    Runs neither ``__init__`` nor ``__post_init__``: ``fields`` must name
-    every field, derived ones included, with values already validated.
+    Does not run ``__init__`` or its checks: ``fields`` must name every
+    field, derived ones included, with values already validated.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -184,10 +240,10 @@ def _build(cls, fields: dict):
 
 
 def _evolve(obj, **changes):
-    """Copy of the frozen dataclass ``obj`` with ``changes`` applied.
+    """Copy of the ``Frozen`` value ``obj`` with ``changes`` applied.
 
-    Equal to ``dataclasses.replace(obj, **changes)`` for a class without
-    ``__post_init__``, but skips ``__init__``: the instance dictionary is
+    Equal to the value its constructor would give for the same fields,
+    but skips ``__init__`` and its checks: the instance dictionary is
     copied as is, derived fields included, so a caller that changes a
     field some derived field depends on must pass that one too. ``obj``
     is never modified.
@@ -206,10 +262,11 @@ def new_content(
 ) -> ContentAction:
     """The ``ContentAction`` its constructor would build, validated the same way.
 
-    The simulator builds one per submitted commitment; skipping the
-    dataclass ``__init__`` there gives world-bulk 2-3% more commitments/s
-    than the constructor does (``BENCH_13.json``, ``builder_vs_constructor``).
-    Filled field by field without ``__init__``, not with ``_build``: on
+    The simulator builds one per submitted commitment, without the type
+    call and ``__init__`` frame of the constructor; when the constructor
+    was a dataclass's, that gave world-bulk 2-3% more commitments/s
+    (``BENCH_13.json``, ``builder_vs_constructor``). Filled field by
+    field, as the constructor fills it, not with ``_build``: on
     CPython 3.11+ the attributes then stay inline in the instance, which
     is smaller than one with its own instance dictionary, and the
     scheduler reads ``content.target`` and ``content.verb`` of every

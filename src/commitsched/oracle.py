@@ -17,10 +17,10 @@ end states that leave a queue behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .errors import InstanceTooLarge
+from .model import Frozen
 
 READER = "reader"
 WRITER = "writer"
@@ -28,39 +28,47 @@ WRITER = "writer"
 MAX_INSTANCE = 6
 
 
-@dataclass(frozen=True)
-class MiniCommitment:
+class MiniCommitment(Frozen):
     id: str
     access: str  # READER or WRITER
     target: str
-    priority: int = 0
-    arrival: int = 0
+    priority: int
+    arrival: int
 
-    def __post_init__(self):
-        if self.access not in (READER, WRITER):
+    def __init__(self, id, access, target, priority=0, arrival=0):
+        if access not in (READER, WRITER):
             raise ValueError(f"access must be {READER!r} or {WRITER!r}")
+        put = object.__setattr__
+        put(self, "id", id)
+        put(self, "access", access)
+        put(self, "target", target)
+        put(self, "priority", priority)
+        put(self, "arrival", arrival)
 
 
-@dataclass(frozen=True)
-class MiniInstance:
+class MiniInstance(Frozen):
     """A small scheduling problem: commitments in submission order."""
 
     commitments: tuple[MiniCommitment, ...]
 
-    def __post_init__(self):
-        if len(self.commitments) > MAX_INSTANCE:
+    def __init__(self, commitments):
+        if len(commitments) > MAX_INSTANCE:
             raise InstanceTooLarge(
-                f"instance has {len(self.commitments)} commitments, max {MAX_INSTANCE}"
+                f"instance has {len(commitments)} commitments, max {MAX_INSTANCE}"
             )
-        ids = [c.id for c in self.commitments]
+        ids = [c.id for c in commitments]
         if len(set(ids)) != len(ids):
             raise ValueError("commitment ids must be unique")
+        object.__setattr__(self, "commitments", commitments)
 
 
-@dataclass(frozen=True)
-class RefDecision:
+class RefDecision(Frozen):
     kind: str  # "execute" | "wait"
-    blockers: tuple[str, ...] = ()
+    blockers: tuple[str, ...]
+
+    def __init__(self, kind, blockers=()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "blockers", blockers)
 
 
 def _contend(a: MiniCommitment, b: MiniCommitment) -> bool:
@@ -131,11 +139,16 @@ class ReferenceScheduler:
 
 # -- exhaustive interleaving exploration -------------------------------------
 
-@dataclass(frozen=True)
-class ExplorationReport:
+class ExplorationReport(Frozen):
     states: int
     unsafe_states: int
     undrained_outcomes: int
+
+    def __init__(self, states, unsafe_states, undrained_outcomes):
+        put = object.__setattr__
+        put(self, "states", states)
+        put(self, "unsafe_states", unsafe_states)
+        put(self, "undrained_outcomes", undrained_outcomes)
 
 
 # A search state: (next submission index, active set, queue in order).

@@ -43,12 +43,11 @@ its verb leaves unused.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .errors import ParseError
-from .model import Privacy, Responsibility, Verb
+from .model import Frozen, Privacy, Responsibility, Verb
 from .scheduler import Policy
 from .world import AssignmentStatus
 
@@ -65,12 +64,15 @@ class Command(NamedTuple):
 _command = partial(tuple.__new__, Command)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """A parsed scenario file: ordered commands plus the source name."""
 
     commands: tuple[Command, ...]
-    source: str = "<string>"
+    source: str
+
+    def __init__(self, commands, source="<string>"):
+        object.__setattr__(self, "commands", commands)
+        object.__setattr__(self, "source", source)
 
 
 class _Rejected(Exception):

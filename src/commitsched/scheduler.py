@@ -49,13 +49,12 @@ pass makes exactly the choices of the greedy loop above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DuplicateId, NonEmptyQueue, UnknownId
-from .model import AccessClass, Commitment, LifecycleState, Verb
+from .model import AccessClass, Commitment, Frozen, LifecycleState, Verb
 from .relations import same_scope
 
 
@@ -69,26 +68,30 @@ class DecisionKind(Enum):
     WAIT = "wait"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Frozen):
     """Outcome of one submission: execute now, or wait behind blockers."""
 
     kind: DecisionKind
-    blockers: tuple[str, ...] = ()
+    blockers: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.kind is DecisionKind.WAIT and not self.blockers:
+    def __init__(self, kind, blockers=()):
+        if kind is DecisionKind.WAIT and not blockers:
             raise ValueError("a wait decision must name its blockers")
-        if self.kind is DecisionKind.EXECUTE and self.blockers:
+        if kind is DecisionKind.EXECUTE and blockers:
             raise ValueError("an execute decision has no blockers")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "blockers", blockers)
 
 
-@dataclass(frozen=True)
-class MonitoringReport:
+class MonitoringReport(Frozen):
     """Commitment counts per service and state, plus the ordered queue."""
 
     by_service: Mapping[str, Mapping[LifecycleState, int]]
     queue: tuple[str, ...]
+
+    def __init__(self, by_service, queue):
+        object.__setattr__(self, "by_service", by_service)
+        object.__setattr__(self, "queue", queue)
 
 
 _EXECUTE = Decision(DecisionKind.EXECUTE)

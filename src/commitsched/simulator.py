@@ -28,12 +28,12 @@ activated by a ``complete`` or by another violation's cascade.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import EngineError, ScenarioRuntimeError
 from .model import (
     Commitment,
     CommitmentKind,
+    Frozen,
     LifecycleState,
     RESPONSIBILITY_FOR_VERB,
     Verb,
@@ -57,11 +57,16 @@ from .world import (
 )
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Frozen):
     trace: Trace
     world: WorldState
     scheduler: Scheduler
+
+    def __init__(self, trace, world, scheduler):
+        put = object.__setattr__
+        put(self, "trace", trace)
+        put(self, "world", world)
+        put(self, "scheduler", scheduler)
 
 
 def register(

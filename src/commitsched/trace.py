@@ -21,9 +21,10 @@ gives back every line a run writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+from .model import Frozen
 
 
 class EventKind(Enum):
@@ -63,13 +64,18 @@ def parse_event(line: str) -> ScheduleEvent:
     return ScheduleEvent(int(head[2:]), EventKind(kind), subject, attrs)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
     """The event lines of one run, its final clock and whether it was clean."""
 
     event_lines: tuple[str, ...]
     final_clock: int
     ok: bool
+
+    def __init__(self, event_lines, final_clock, ok):
+        put = object.__setattr__
+        put(self, "event_lines", event_lines)
+        put(self, "final_clock", final_clock)
+        put(self, "ok", ok)
 
     @property
     def events(self) -> tuple[ScheduleEvent, ...]:

@@ -37,7 +37,6 @@ Responsibilities enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -51,7 +50,7 @@ from .errors import (
     UnknownNetwork,
     UnknownService,
 )
-from .model import Privacy, Responsibility, _evolve
+from .model import Frozen, Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
 
@@ -62,8 +61,7 @@ class AssignmentStatus(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class Detail:
+class Detail(Frozen):
     """One piece of owned information living in a network."""
 
     key: str
@@ -72,23 +70,41 @@ class Detail:
     privacy: Privacy
     value: str
 
+    def __init__(self, key, owner, network, privacy, value):
+        put = object.__setattr__
+        put(self, "key", key)
+        put(self, "owner", owner)
+        put(self, "network", network)
+        put(self, "privacy", privacy)
+        put(self, "value", value)
 
-@dataclass(frozen=True)
-class Assignment:
+
+class Assignment(Frozen):
     """A unit of work a service owes; blocks sign-off while ongoing."""
 
     id: str
     service: str
-    status: AssignmentStatus = AssignmentStatus.ONGOING
+    status: AssignmentStatus
+
+    def __init__(self, id, service, status=AssignmentStatus.ONGOING):
+        put = object.__setattr__
+        put(self, "id", id)
+        put(self, "service", service)
+        put(self, "status", status)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """A breached responsibility; returned, never raised."""
 
     responsibility: Responsibility
     reason: str
-    items: tuple[str, ...] = ()
+    items: tuple[str, ...]
+
+    def __init__(self, responsibility, reason, items=()):
+        put = object.__setattr__
+        put(self, "responsibility", responsibility)
+        put(self, "reason", reason)
+        put(self, "items", items)
 
 
 class WorldState:

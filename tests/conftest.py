@@ -87,3 +87,8 @@ def small_world() -> WorldState:
     w.with_detail(Detail("email", "svcA", "fb", Privacy.PUBLIC, "addr0"))
     w.with_detail(Detail("vault", "svcA", "fb", Privacy.PRIVATE, "secret0"))
     return w
+
+
+def astuple(value) -> tuple:
+    """The field values of a ``Frozen`` value, read one by one in field order."""
+    return tuple(getattr(value, name) for name in type(value)._fields)
