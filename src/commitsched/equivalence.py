@@ -1,19 +1,18 @@
-"""Exhaustive scheduler-vs-oracle cross-check.
+"""Exhaustive check of the real scheduler against the oracle's predicates.
 
-Enumerates every small instance over a fixed grid (access class, target,
-priority per slot) and submits each one to both the real scheduler and
-the independent reference. The reference alone then walks every
-completion order; each order is replayed on a fresh scheduler. Decisions,
-blocker lists and activation orders must agree everywhere, and every
-replay must end with an empty queue; the oracle's state exploration
-additionally certifies that no reachable state is unsafe and every run
-drains.
+Every instance of a few commitments over a slot set (one slot fixes an
+access, target, priority and target owner) is submitted to a
+``Scheduler`` under each policy, and every order in which its active
+commitments can complete is walked. ``oracle.admission_fault`` checks
+each submit and ``oracle.drain_fault`` each retire, on the states the
+scheduler shows; a run left with nothing active must have an empty
+queue. Each branch but the last replays its completion prefix on a fresh
+scheduler and the last goes on with the live one: one replay per order.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
 
 from .model import (
     Commitment,
@@ -27,149 +26,150 @@ from .model import (
 from .oracle import (
     MAX_INSTANCE,
     READER,
+    SIGNOFF,
     WRITER,
     MiniCommitment,
-    MiniInstance,
-    ReferenceScheduler,
-    explore,
+    State,
+    admission_fault,
+    drain_fault,
 )
 from .scheduler import DecisionKind, Policy, Scheduler
 
+# A slot: (access, target, priority, owner of the target).
+TARGET_SLOTS = tuple(
+    (access, target, priority, None)
+    for access, target, priority in product((READER, WRITER), ("d", "e"), (0, 10))
+)
+OWNER_SLOTS = (
+    (READER, "d", 0, "s"),
+    (WRITER, "d", 0, None),
+    (WRITER, "e", 0, "s"),
+    (SIGNOFF, "s", 0, None),
+)
+SLOT_SETS = {"targets": TARGET_SLOTS, "owners": OWNER_SLOTS}
+
+_POLICIES = (Policy.FCFS, Policy.PRIORITY)
+_COMPLETED = LifecycleState.COMPLETED
+
 
 def _real_commitment(mini: MiniCommitment) -> Commitment:
+    debtor = f"svc-{mini.id}"
     if mini.access == READER:
-        verb = Verb.COLLECT
-        content = ContentAction(verb, mini.target, owner="owner", purpose="testing")
+        content = ContentAction(Verb.COLLECT, mini.target, owner="owner", purpose="testing")
+    elif mini.access == WRITER:
+        content = ContentAction(Verb.POST, mini.target, veracity=True)
     else:
-        verb = Verb.POST
-        content = ContentAction(verb, mini.target, veracity=True)
+        content, debtor = ContentAction(Verb.SIGNOFF, mini.target), mini.target
     return new_commitment(
         mini.id,
         CommitmentKind.SOCIAL,
-        RESPONSIBILITY_FOR_VERB[verb],
-        debtor=f"svc-{mini.id}",
+        RESPONSIBILITY_FOR_VERB[content.verb],
+        debtor=debtor,
         creditor="net",
         content=content,
         explicit_priority=mini.priority,
         clock=mini.arrival,
+        target_owner=mini.owner,
     )
 
 
 class GridReport:
-    """Counts and mismatches of one ``run_grid``, filled in as it runs."""
+    """Counts and faults of one ``run_grid``, filled in as it runs."""
 
     def __init__(self):
-        self.instances = 0       # (combination, completion order, policy) runs
-        self.passed = 0          # runs that replayed clean
         self.combinations = 0
-        self.states_explored = 0
-        self.unsafe_states = 0
-        self.undrained = 0
-        self.mismatches: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and not self.unsafe_states and not self.undrained
+        self.runs = 0      # (combination, policy, completion order); a fault ends one
+        self.states = 0    # scheduler states checked
+        self.faults: list[str] = []
 
 
-# One completion order: (completed id, ids the oracle activates) per step.
-CompletionPath = tuple[tuple[str, list[str]], ...]
+class _Instance:
+    """One combination under one policy, walked on the real scheduler."""
 
+    def __init__(self, minis: tuple[MiniCommitment, ...], policy: Policy, report: GridReport):
+        self.minis = {m.id: m for m in minis}
+        self.commitments = [_real_commitment(m) for m in minis]
+        self.policy = policy
+        self.report = report
 
-def _check_combination(
-    minis: tuple[MiniCommitment, ...], policy: Policy, report: GridReport
-) -> None:
-    tag = f"[{policy.value}] " + ",".join(
-        f"{m.id}:{m.access[0].upper()}({m.target})p{m.priority}" for m in minis
-    )
-    commitments = [_real_commitment(mini) for mini in minis]
-    ref = ReferenceScheduler(policy.value)
-    decisions = [ref.submit(mini) for mini in minis]
-    paths = list(_completion_paths(ref))
-    report.instances += len(paths)
-    sched = Scheduler(policy)
-    for mini, c, expected in zip(minis, commitments, decisions):
-        got = sched.submit(c)
-        got_kind = "execute" if got.kind is DecisionKind.EXECUTE else "wait"
-        if (got_kind, got.blockers) != (expected.kind, expected.blockers):
-            report.mismatches.append(
-                f"{tag}: submit {mini.id}: "
-                f"oracle {expected.kind}{expected.blockers} vs "
-                f"scheduler {got_kind}{got.blockers}"
-            )
+    def _observe(self, sched: Scheduler) -> State:
+        minis = self.minis
+        return tuple(minis[i] for i in sched.active), tuple(minis[c.id] for c in sched.queue)
+
+    def _fault(self, fault: str) -> None:
+        self.report.runs += 1
+        tag = ",".join(
+            f"{m.id}:{m.access[0].upper()}({m.target}{'/' + m.owner if m.owner else ''})"
+            f"p{m.priority}a{m.arrival}"
+            for m in self.minis.values()
+        )
+        self.report.faults.append(f"[{self.policy.value}] {tag}: {fault}")
+
+    def check(self) -> None:
+        sched = Scheduler(self.policy)
+        state: State = ((), ())
+        for c in self.commitments:
+            mini = self.minis[c.id]
+            try:
+                decision = sched.submit(c)
+                blockers = decision.blockers if decision.kind is DecisionKind.WAIT else ()
+                after = self._observe(sched)
+                fault = admission_fault(mini, state, blockers, after)
+            except Exception as exc:  # a broken engine shows up as an error
+                fault = f"submit {mini.id}: scheduler raised {exc!r}"
+            self.report.states += 1
+            if fault:
+                return self._fault(fault)
+            state = after
+        self._walk(sched, state, ())
+
+    def _replay(self, prefix: tuple[str, ...]) -> Scheduler:
+        sched = Scheduler(self.policy)
+        for c in self.commitments:
+            sched.submit(c)
+        for cid in prefix:
+            sched.on_complete(cid, _COMPLETED)
+        return sched
+
+    def _walk(self, sched: Scheduler, state: State, prefix: tuple[str, ...]) -> None:
+        """Complete each active commitment in turn from ``state``, then recurse."""
+        active = state[0]
+        if not active:
+            if state[1]:
+                return self._fault(f"nothing active, queue {[q.id for q in state[1]]} left")
+            self.report.runs += 1
             return
-    failed: CompletionPath | None = None
-    for path in paths:
-        if failed is not None and path[: len(failed)] == failed:
-            continue  # this prefix has been reported once already
-        failed = _replay(path, commitments, policy, tag, report)
-        report.passed += failed is None
+        last = active[-1].id
+        for a in active:
+            cid = a.id
+            try:
+                live = sched if cid == last else self._replay(prefix)
+                activated = tuple(self.minis[c.id] for c in live.on_complete(cid, _COMPLETED))
+                after = self._observe(live)
+                fault = drain_fault(self.policy.value, state, cid, activated, after)
+            except Exception as exc:  # a broken engine shows up as an error
+                fault = f"scheduler raised {exc!r}"
+            self.report.states += 1
+            if fault:
+                self._fault(f"complete {','.join((*prefix, cid))}: {fault}")
+            else:
+                self._walk(live, after, (*prefix, cid))
 
 
-def _completion_paths(
-    ref: ReferenceScheduler, prefix: CompletionPath = ()
-) -> Iterator[CompletionPath]:
-    """Every order in which the oracle's active commitments can complete."""
-    active_ids = sorted(a.id for a in ref.active)
-    if not active_ids:
-        yield prefix
-        return
-    for cid in active_ids:
-        nxt = ref.copy()
-        yield from _completion_paths(nxt, prefix + ((cid, nxt.complete(cid)),))
-
-
-def _replay(
-    path: CompletionPath,
-    commitments: list[Commitment],
-    policy: Policy,
-    tag: str,
-    report: GridReport,
-) -> CompletionPath | None:
-    """Run one completion order on a fresh scheduler; the failing prefix, if any."""
-    sched = Scheduler(policy)
-    for c in commitments:
-        sched.submit(c)
-    for i, (cid, expected) in enumerate(path):
-        try:
-            got = [c.id for c in sched.on_complete(cid, LifecycleState.COMPLETED)]
-        except Exception as exc:  # divergence shows up as a scheduler error
-            report.mismatches.append(f"{tag}: complete {cid}: scheduler raised {exc!r}")
-            return path[: i + 1]
-        if got != expected:
-            report.mismatches.append(
-                f"{tag}: complete {cid}: oracle activates {expected} vs scheduler {got}"
-            )
-            return path[: i + 1]
-    if sched.queue:
-        report.mismatches.append(f"{tag}: scheduler left a queue")
-        return path
-    return None
-
-
-_TARGETS = ("d", "e")
-_PRIORITIES = (0, 10)
-_POLICIES = (Policy.FCFS, Policy.PRIORITY)
-
-
-def run_grid(max_commitments: int = 4) -> GridReport:
+def run_grid(max_commitments: int = 4, slots=TARGET_SLOTS) -> GridReport:
     """Check every instance of 1 to ``max_commitments`` commitments (at most
-    MAX_INSTANCE); report mismatches and oracle stats."""
+    MAX_INSTANCE) over ``slots`` under both policies; report the faults."""
     if not 1 <= max_commitments <= MAX_INSTANCE:
         raise ValueError(f"max_commitments must be 1 to {MAX_INSTANCE}, got {max_commitments}")
     report = GridReport()
-    slots = list(product((READER, WRITER), _TARGETS, _PRIORITIES))
     for n in range(1, max_commitments + 1):
         for combo in product(slots, repeat=n):
+            # Arrivals 0,1,1,2,2,3: pairs share one, so the FCFS tie-break acts.
             minis = tuple(
-                MiniCommitment(f"c{i}", access, target, priority, arrival=i)
-                for i, (access, target, priority) in enumerate(combo)
+                MiniCommitment(f"c{i}", access, target, priority, (i + 1) // 2, owner)
+                for i, (access, target, priority, owner) in enumerate(combo)
             )
             report.combinations += 1
-            exploration = explore(MiniInstance(minis))
-            report.states_explored += exploration.states
-            report.unsafe_states += exploration.unsafe_states
-            report.undrained += exploration.undrained_outcomes
             for policy in _POLICIES:
-                _check_combination(minis, policy, report)
+                _Instance(minis, policy, report).check()
     return report

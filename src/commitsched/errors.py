@@ -90,8 +90,3 @@ class ScenarioRuntimeError(EngineError):
         self.command = command
         self.reason = message
 
-
-# --- oracle ---------------------------------------------------------------
-
-class InstanceTooLarge(EngineError):
-    """Brute-force instance exceeds the enumeration bound."""

@@ -1,228 +1,129 @@
-"""Brute-force readers-writer admission reference.
+"""The readers-writers specification, stated as predicates over states.
 
-Deliberately independent of the scheduler module: the conflict rule is
-restated from scratch (two commitments contend iff they share a target
-and at least one writes) and no code is shared, so equivalence tests
-between the two have teeth. Within this module each rule is written
-once: ``_contend`` (conflict), ``_blockers`` (admission) and
-``_eligible`` (which waiters may drain); everything else calls them.
-
-``ReferenceScheduler`` replays submissions and completions with the same
-documented tie-break chain as the real engine. ``explore`` walks every
-reachable state of a small instance - under every completion order and
-every possible dequeue order, a superset of both service policies - and
-counts states that run a writer alongside anything on its target and
-end states that leave a queue behind.
+Deliberately independent of the scheduler: nothing here is shared with
+``scheduler`` or ``relations``, and nothing here schedules. ``_contend``
+restates the conflict rule from scratch, and ``admission_fault`` and
+``drain_fault`` say what any correct engine may do with it: the
+properties of Courtois, Heymans & Parnas, "Concurrent control with
+'readers' and 'writers'", CACM 1971. A state is the pair (active
+commitments in activation order, queued ones in queue order), as
+observed on the engine under test. Each predicate returns None when a
+step is allowed, else what is wrong with it. Both also require the state
+left behind to be the one the step announced, so that, step by step, no
+two active commitments ever contend. ``equivalence.run_grid`` asks
+both about every step of the real scheduler on every small instance
+(bounded-exhaustive checking against predicates: Boyapati, Khurshid &
+Marinov, "Korat", ISSTA 2002).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
-
-from .errors import InstanceTooLarge
 from .model import Frozen
 
 READER = "reader"
 WRITER = "writer"
+SIGNOFF = "signoff"  # a writer on its own service: leaving an account
 
 MAX_INSTANCE = 6
 
 
 class MiniCommitment(Frozen):
     id: str
-    access: str  # READER or WRITER
-    target: str
+    access: str  # READER, WRITER or SIGNOFF
+    target: str  # a detail key; for a sign-off, the service that leaves
     priority: int
     arrival: int
+    owner: str | None  # the service that owns the target detail
 
-    def __init__(self, id, access, target, priority=0, arrival=0):
-        if access not in (READER, WRITER):
-            raise ValueError(f"access must be {READER!r} or {WRITER!r}")
+    def __init__(self, id, access, target, priority=0, arrival=0, owner=None):
+        if access not in (READER, WRITER, SIGNOFF):
+            raise ValueError(f"access must be {READER!r}, {WRITER!r} or {SIGNOFF!r}")
         put = object.__setattr__
         put(self, "id", id)
         put(self, "access", access)
         put(self, "target", target)
         put(self, "priority", priority)
         put(self, "arrival", arrival)
+        put(self, "owner", owner)
 
 
-class MiniInstance(Frozen):
-    """A small scheduling problem: commitments in submission order."""
-
-    commitments: tuple[MiniCommitment, ...]
-
-    def __init__(self, commitments):
-        if len(commitments) > MAX_INSTANCE:
-            raise InstanceTooLarge(
-                f"instance has {len(commitments)} commitments, max {MAX_INSTANCE}"
-            )
-        ids = [c.id for c in commitments]
-        if len(set(ids)) != len(ids):
-            raise ValueError("commitment ids must be unique")
-        object.__setattr__(self, "commitments", commitments)
-
-
-class RefDecision(Frozen):
-    kind: str  # "execute" | "wait"
-    blockers: tuple[str, ...]
-
-    def __init__(self, kind, blockers=()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "blockers", blockers)
+State = tuple[tuple[MiniCommitment, ...], tuple[MiniCommitment, ...]]
 
 
 def _contend(a: MiniCommitment, b: MiniCommitment) -> bool:
-    return a.target == b.target and (a.access == WRITER or b.access == WRITER)
+    """Two commitments contend when they share a scope and one of them writes.
 
-
-def _blockers(
-    c: MiniCommitment,
-    active: Iterable[MiniCommitment],
-    queued: Iterable[MiniCommitment],
-) -> list[MiniCommitment]:
-    """What a new arrival waits behind: every contending active, then queued one."""
-    return [x for x in (*active, *queued) if _contend(c, x)]
-
-
-def _eligible(
-    queued: Iterable[MiniCommitment], active: Collection[MiniCommitment]
-) -> list[MiniCommitment]:
-    """Waiters that contend with nothing active, in queue order."""
-    return [q for q in queued if not any(_contend(q, a) for a in active)]
-
-
-class ReferenceScheduler:
-    """Minimal admission engine used as the ground truth."""
-
-    def __init__(self, policy: str = "fcfs"):
-        if policy not in ("fcfs", "priority"):
-            raise ValueError(f"unknown policy {policy!r}")
-        self.policy = policy
-        self.active: list[MiniCommitment] = []
-        self.queue: list[MiniCommitment] = []  # in the order they were queued
-
-    def submit(self, c: MiniCommitment) -> RefDecision:
-        blockers = _blockers(c, self.active, self.queue)
-        if blockers:
-            self.queue.append(c)
-            return RefDecision("wait", tuple(b.id for b in blockers))
-        self.active.append(c)
-        return RefDecision("execute")
-
-    def complete(self, cid: str) -> list[str]:
-        """Retire an active id; returns ids activated from the queue."""
-        if all(a.id != cid for a in self.active):
-            raise KeyError(cid)
-        self.active = [a for a in self.active if a.id != cid]
-        activated: list[str] = []
-        while (nxt := self._pick()) is not None:
-            self.queue = [q for q in self.queue if q.id != nxt.id]
-            self.active.append(nxt)
-            activated.append(nxt.id)
-        return activated
-
-    def _pick(self) -> MiniCommitment | None:
-        eligible = _eligible(self.queue, self.active)
-        if not eligible:
-            return None
-        if self.policy == "fcfs":
-            # min keeps the first of equal arrivals: the earlier queued wins.
-            return min(eligible, key=lambda q: q.arrival)
-        return min(eligible, key=lambda q: (-q.priority, q.arrival, q.id))
-
-    def copy(self) -> "ReferenceScheduler":
-        twin = ReferenceScheduler(self.policy)
-        twin.active = list(self.active)
-        twin.queue = list(self.queue)
-        return twin
-
-
-# -- exhaustive interleaving exploration -------------------------------------
-
-class ExplorationReport(Frozen):
-    states: int
-    unsafe_states: int
-    undrained_outcomes: int
-
-    def __init__(self, states, unsafe_states, undrained_outcomes):
-        put = object.__setattr__
-        put(self, "states", states)
-        put(self, "unsafe_states", unsafe_states)
-        put(self, "undrained_outcomes", undrained_outcomes)
-
-
-# A search state: (next submission index, active set, queue in order).
-_Active = frozenset[MiniCommitment]
-_Queue = tuple[MiniCommitment, ...]
-_State = tuple[int, _Active, _Queue]
-
-
-class _Walker:
-    """Transition relation over instance states; admission is automatic."""
-
-    def __init__(self, instance: MiniInstance):
-        self.commitments = instance.commitments
-
-    def moves(self, state: _State) -> list[_State]:
-        """Successors of a state.
-
-        Submissions keep their listed order. Any active commitment may
-        complete at any time, and after a completion the queue drains in
-        every possible eligible order (covering both service policies
-        and any tie-break).
-        """
-        i, active, queue = state
-        out: list[_State] = []
-        if i < len(self.commitments):
-            c = self.commitments[i]
-            if _blockers(c, active, queue):
-                out.append((i + 1, active, queue + (c,)))
-            else:
-                out.append((i + 1, active | {c}, queue))
-        for c in active:
-            out.extend((i, *end) for end in self._drains(active - {c}, queue))
-        return out
-
-    def _drains(self, active: _Active, queue: _Queue) -> set[tuple[_Active, _Queue]]:
-        """Distinct end states of every maximal greedy drain of the queue."""
-        eligible = _eligible(queue, active)
-        if not eligible:
-            return {(active, queue)}
-        ends: set[tuple[_Active, _Queue]] = set()
-        for c in eligible:
-            ends |= self._drains(active | {c}, tuple(q for q in queue if q is not c))
-        return ends
-
-
-def _unsafe(active: _Active) -> bool:
-    items = list(active)
-    return any(_contend(a, b) for i, a in enumerate(items) for b in items[i + 1:])
-
-
-def explore(instance: MiniInstance) -> ExplorationReport:
-    """Memoized walk over every reachable state of an instance.
-
-    Counts unsafe states (two same-target actives, one a writer) and end
-    states that fail to drain. A state with no move has submitted and
-    completed everything, so only a queue can be left over.
+    A scope is a content target. A sign-off by S also shares one with
+    anything whose target S owns: leaving contends with everything still
+    touching the account's details.
     """
-    walker = _Walker(instance)
-    seen: set[_State] = set()
-    unsafe = 0
-    undrained = 0
-    stack: list[_State] = [(0, frozenset(), ())]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        _, active, queue = state
-        if _unsafe(active):
-            unsafe += 1
-        successors = walker.moves(state)
-        if not successors and queue:
-            undrained += 1
-        stack.extend(successors)
-    return ExplorationReport(
-        states=len(seen), unsafe_states=unsafe, undrained_outcomes=undrained
+    if a.access == READER and b.access == READER:
+        return False
+    return (
+        a.target == b.target
+        or (a.access == SIGNOFF and b.owner == a.target)
+        or (b.access == SIGNOFF and a.owner == b.target)
     )
+
+
+def _ids(commitments) -> tuple[str, ...]:
+    return tuple(c.id for c in commitments)
+
+
+def _leaves(state: State) -> str:
+    return f"leaves active {_ids(state[0])} queued {_ids(state[1])}"
+
+
+def admission_fault(
+    c: MiniCommitment, before: State, blockers: tuple[str, ...], after: State
+) -> str | None:
+    """Check one submit of ``c``; ``blockers`` is empty when it executes.
+
+    It waits exactly when something active or queued contends with it,
+    its blockers are exactly those, the active ones first, and it joins
+    the end of the active set or of the queue.
+    """
+    active, queued = before
+    expected = _ids(x for x in (*active, *queued) if _contend(c, x))
+    if blockers != expected:
+        return f"submit {c.id}: expected blockers {expected}, got {blockers}"
+    if after != ((active, (*queued, c)) if expected else ((*active, c), queued)):
+        return f"submit {c.id}: {_leaves(after)}"
+    return None
+
+
+def drain_fault(
+    policy: str, before: State, retired: str, activated: tuple[MiniCommitment, ...], after: State
+) -> str | None:
+    """Check one retire of active ``retired`` and the drain that follows it.
+
+    ``activated`` is what the drain returned, in order, and ``policy`` is
+    "fcfs" or "priority". The drain activates only queued commitments,
+    none beside anything it contends with. It is greedy in policy-key
+    order: it passes no waiter that ranks ahead and was free at that
+    point. It is maximal: every waiter left behind still contends with
+    something active.
+    """
+    active, queued = before
+    running = [a for a in active if a.id != retired]
+    left = {q.id: q for q in queued}
+    if activated:
+        if policy == "fcfs":  # by (arrival, queue order)
+            rank = {q.id: (q.arrival, n) for n, q in enumerate(queued)}
+        else:  # by (-priority, arrival, id)
+            rank = {q.id: (-q.priority, q.arrival, q.id) for q in queued}
+        for a in activated:
+            if left.pop(a.id, None) is None:
+                return f"activates {a.id}, which was not queued"
+            if any(_contend(a, r) for r in running):
+                return f"activates {a.id} beside a commitment it contends with"
+            for q in left.values():
+                if rank[q.id] < rank[a.id] and not any(_contend(q, r) for r in running):
+                    return f"activates {a.id} ahead of {q.id}, which ranks ahead and was free"
+            running.append(a)
+    for q in left.values():
+        if not any(_contend(q, r) for r in running):
+            return f"leaves {q.id} queued with nothing active contending with it"
+    if after != (tuple(running), tuple(left.values())):
+        return _leaves(after)
+    return None

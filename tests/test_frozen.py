@@ -23,7 +23,7 @@ from commitsched.model import (
     _build,
     _evolve,
 )
-from commitsched.oracle import ExplorationReport, MiniCommitment, MiniInstance, RefDecision
+from commitsched.oracle import MiniCommitment
 from commitsched.scenario import Command, Scenario
 from commitsched.scheduler import Decision, DecisionKind, MonitoringReport, Scheduler
 from commitsched.simulator import RunResult
@@ -82,21 +82,9 @@ EXAMPLES = {
         "Trace(event_lines=('t=0 Registered svcA network=fb',), final_clock=3, ok=True)",
     ),
     MiniCommitment: (
-        lambda: MiniCommitment("c1", "writer", "d", 10, 2),
-        "MiniCommitment(id='c1', access='writer', target='d', priority=10, arrival=2)",
-    ),
-    MiniInstance: (
-        lambda: MiniInstance((MiniCommitment("c1", "reader", "d"),)),
-        "MiniInstance(commitments=(MiniCommitment(id='c1', access='reader', target='d', "
-        "priority=0, arrival=0),))",
-    ),
-    RefDecision: (
-        lambda: RefDecision("wait", ("c1",)),
-        "RefDecision(kind='wait', blockers=('c1',))",
-    ),
-    ExplorationReport: (
-        lambda: ExplorationReport(12, 0, 1),
-        "ExplorationReport(states=12, unsafe_states=0, undrained_outcomes=1)",
+        lambda: MiniCommitment("c1", "writer", "d", 10, 2, "s"),
+        "MiniCommitment(id='c1', access='writer', target='d', priority=10, arrival=2, "
+        "owner='s')",
     ),
 }
 
