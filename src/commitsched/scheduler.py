@@ -28,9 +28,10 @@ Design rules:
 Active and queued commitments are each kept in a scope index, a lock
 table hashed by resource (Gray & Reuter, *Transaction Processing*, ch. 8):
 buckets by content target, by target owner and, for sign-offs, by debtor.
-A query returns, in sequence order, only the indexed commitments whose
-access mode conflicts with the asker's; ``same_scope`` confirms each one.
-The mode decides which buckets are read:
+A query returns, in sequence order, exactly the indexed commitments that
+share a scope with the asker and conflict with its access mode; the
+``same_scope`` re-check in ``submit`` and ``_retire`` never rejects one
+(ROADMAP item 2). The mode decides which buckets are read:
 
   - Sign-offs are writers, so every commitment in an owner or sign-off
     bucket of the asker's scopes conflicts with it.
@@ -40,11 +41,14 @@ The mode decides which buckets are read:
     holds readers only or exactly one writer. A writer reads the whole
     bucket; for a reader, the bucket's first entry decides all of it.
 
-Each queued commitment carries its count of active blockers, so a retire
-touches only the waiters that conflict with the retired commitment, and
-the waiters whose count drops to zero are activated in one pass in
-policy order. Within one drain activations only add blockers, so that
-pass makes exactly the choices of the greedy loop above.
+A waiter is ready exactly when no active commitment conflicts with it,
+which ``_HeldIndex.blocks`` answers in O(1) from the buckets a query
+reads (grant on release: no per-waiter state, and an activation touches
+no waiter). A retire asks only the waiters that conflict with the
+retired commitment, and activates the free ones in one pass in policy
+order, asking each again just before it runs. Within one drain
+activations only add blockers, so that pass makes exactly the choices of
+the greedy loop above.
 """
 
 from __future__ import annotations
@@ -163,6 +167,18 @@ class _HeldIndex(_ScopeIndex):
             return self._with_owner_scopes(c, found)
         return found.values() if found else ()
 
+    def blocks(self, c: Commitment) -> bool:
+        """True exactly when ``conflicting(c)`` returns anything."""
+        found = self.by_target.get(c.content.target)
+        if found and (
+            c.access is AccessClass.WRITER
+            or next(iter(found.values())).access is AccessClass.WRITER
+        ):
+            return True
+        if c.target_owner in self.signoffs:
+            return True
+        return c.content.verb is Verb.SIGNOFF and c.debtor in self.by_owner
+
 
 class _WaitIndex(_ScopeIndex):
     """The queued commitments, with each target's writers also kept apart."""
@@ -206,8 +222,7 @@ class Scheduler:
         self._seq: dict[str, int] = {}             # active or queued id -> its seq
         self._held = _HeldIndex()                 # active commitments
         self._waiting = _WaitIndex()              # queued commitments
-        self._blocked_by: dict[str, int] = {}      # queued id -> active blocker count
-        self._ready: set[str] = set()              # queued ids whose count is 0
+        self._ready: set[str] = set()              # queued ids nothing active blocks
 
     @property
     def active(self) -> Mapping[str, Commitment]:
@@ -238,7 +253,6 @@ class Scheduler:
             return _EXECUTE
         self._queue[c.id] = c
         self._waiting.add(self._take_seq(c.id), c)
-        self._blocked_by[c.id] = len(held)
         if not held:
             self._ready.add(c.id)
         return Decision(DecisionKind.WAIT, tuple(held + waiting))
@@ -291,14 +305,9 @@ class Scheduler:
         return seq
 
     def _activate(self, c: Commitment) -> None:
-        """Make ``c`` active and count it against the waiters it blocks."""
+        """Make ``c`` active. No waiter is updated: ``_HeldIndex.blocks`` reads it."""
         self._active[c.id] = c
         self._held.add(self._take_seq(c.id), c)
-        if self._queue:
-            blocked_by = self._blocked_by
-            for q in self._waiting.conflicting(c):
-                if same_scope(q, c):
-                    blocked_by[q.id] += 1
 
     def _retire(self, cid: str, final: LifecycleState) -> list[Commitment]:
         """Retire active ``cid`` into the tally under ``final``; drain the queue."""
@@ -310,12 +319,10 @@ class Scheduler:
         per_service[final] = per_service.get(final, 0) + 1
         if not self._queue:
             return []
-        blocked_by = self._blocked_by
+        blocks = self._held.blocks
         for q in self._waiting.conflicting(retired):
-            if same_scope(q, retired):
-                blocked_by[q.id] -= 1
-                if not blocked_by[q.id]:
-                    self._ready.add(q.id)
+            if same_scope(q, retired) and not blocks(q):
+                self._ready.add(q.id)
         if not self._ready:
             return []
         ready, self._ready = self._ready, set()
@@ -326,11 +333,11 @@ class Scheduler:
             order = sorted(ready, key=lambda i: (-queue[i].priority, queue[i].arrival, i))
         activated: list[Commitment] = []
         for qid in order:
-            if blocked_by[qid]:
+            chosen = queue[qid]
+            if blocks(chosen):
                 continue  # an earlier activation in this pass blocks it again
-            chosen = queue.pop(qid)
+            del queue[qid]
             self._waiting.remove(seqs.pop(qid), chosen)
-            del blocked_by[qid]
             self._activate(chosen)
             activated.append(chosen)
         return activated

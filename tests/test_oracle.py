@@ -197,6 +197,20 @@ MUTATIONS = {
     "owner-bucket-skipped": (
         "            merged.update(self.by_owner.get(c.debtor, ()))\n", "            pass\n",
     ),
+    "drain-skips-blocks-recheck": ("            if blocks(chosen):\n", "            if False:\n"),
+    "blocks-ignores-signoffs": (
+        "        if c.target_owner in self.signoffs:\n", "        if False:\n"
+    ),
+    "blocks-ignores-owner-bucket": (
+        "c.content.verb is Verb.SIGNOFF and c.debtor in self.by_owner", "False"
+    ),
+    "blocks-reader-as-writer": (
+        "            c.access is AccessClass.WRITER\n", "            True\n"
+    ),
+}
+# These need owner scopes or sign-offs, which only the owner slots hold.
+OWNER_MUTATIONS = {
+    "owner-bucket-skipped", "blocks-ignores-signoffs", "blocks-ignores-owner-bucket",
 }
 
 
@@ -217,7 +231,7 @@ def _mutant(name):
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_grid_catches_a_scheduler_mutation(name, monkeypatch):
     monkeypatch.setattr(equivalence, "Scheduler", _mutant(name))
-    slots = OWNER_SLOTS if name == "owner-bucket-skipped" else TARGET_SLOTS
+    slots = OWNER_SLOTS if name in OWNER_MUTATIONS else TARGET_SLOTS
     report = run_grid(3, slots)
     assert report.faults
 

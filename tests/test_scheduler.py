@@ -13,6 +13,7 @@ from commitsched.scheduler import (
     DecisionKind,
     Policy,
     Scheduler,
+    _WaitIndex,
 )
 
 from conftest import any_commitment, make_commitment
@@ -189,6 +190,30 @@ def test_both_readers_activate_together():
     assert [c.id for c in activated] == ["c2", "c3"]
 
 
+def test_drain_reads_each_waiter_a_bounded_number_of_times(monkeypatch):
+    # 30 readers then 30 writers wait behind one writer on d. Its retire
+    # activates the readers; a drain that rescans the waiters on every
+    # activation reads 30 * 30 more entries than the 60 in the queue.
+    s = Scheduler()
+    s.submit(make_commitment("w0", W, "d"))
+    for i in range(1, 61):
+        s.submit(make_commitment(f"c{i}", R if i <= 30 else W, "d", arrival=i))
+    read = 0
+    query = _WaitIndex.conflicting
+
+    def counted(self, c):
+        nonlocal read
+        found = list(query(self, c))
+        read += len(found)
+        return found
+
+    monkeypatch.setattr(_WaitIndex, "conflicting", counted)
+    activated = s.on_complete("w0", LifecycleState.COMPLETED)
+    assert [c.id for c in activated] == [f"c{i}" for i in range(1, 31)]
+    assert len(s.queue) == 30
+    assert read <= 2 * 60
+
+
 def test_failed_outcome_releases_scope_like_completed():
     s = _loaded(Policy.FCFS, ("c2", W, 0))
     activated = s.on_complete("c1", LifecycleState.FAILED)
@@ -316,9 +341,10 @@ RETIRES = ("completed", "failed", "violated")
 
 @settings(max_examples=200, deadline=None)
 @given(policy=st.sampled_from(list(Policy)), data=st.data())
-def test_blocker_counts_and_wait_blockers_match_a_relations_scan(policy, data):
+def test_readiness_and_wait_blockers_match_a_relations_scan(policy, data):
     # The scope index reads only the buckets whose access mode conflicts;
-    # every answer must equal a plain scan with the relations rule.
+    # every answer must equal a plain scan with the relations rule, and the
+    # readiness predicate must agree with both that scan and the query.
     s = Scheduler(policy)
     for i in range(data.draw(st.integers(1, 40), label="steps")):
         if s.active and data.draw(st.booleans(), label="retire"):
@@ -339,7 +365,9 @@ def test_blocker_counts_and_wait_blockers_match_a_relations_scan(policy, data):
                 assert decision.kind is DecisionKind.EXECUTE
         assert _safety_holds(s)
         for q in s.queue:
-            assert s._blocked_by[q.id] == sum(_conflict(q, a) for a in s.active.values())
+            blocked = s._held.blocks(q)
+            assert blocked == any(_conflict(q, a) for a in s.active.values())
+            assert blocked == bool(list(s._held.conflicting(q)))
 
 
 def test_deterministic_replay():

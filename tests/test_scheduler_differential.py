@@ -9,7 +9,7 @@ makes is legal; its snapshot is a count of those states. The scheduler
 keeps no such table: an id's state is where the scheduler keeps the id.
 Random runs drive both side by side and compare every observable after
 every step, the identity of every held and returned commitment
-included, so the scope index, the blocker counts and the one-pass drain
+included, so the scope index, the readiness predicate and the one-pass drain
 must reproduce the specification exactly, sign-off scopes included.
 Retiring a queued or retired id must raise ``UnknownId`` and change
 nothing.
