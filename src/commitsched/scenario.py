@@ -121,6 +121,7 @@ def _one_of(table: dict[str, Any], what: str) -> Callable[[str], Any]:
 
 _BOOLS = {"true": True, "false": False}
 _VERB = _one_of({v.value: v for v in Verb}, "action verb")
+_SIGNOFF = Verb.SIGNOFF
 _FINISHES = {s.value: s for s in (AssignmentStatus.COMPLETE, AssignmentStatus.FAILED)}
 
 # Fixed-arity command -> the converter of each argument, in handler order.
@@ -237,7 +238,7 @@ def _parse_submit(words: list[str]) -> tuple[Any, ...]:
         args[slot] = words[i] if convert is str else _arg(words, i, convert)
     # Also checked by model.new_commitment, which guards library callers;
     # this copy can name the column.
-    if verb is Verb.SIGNOFF and target != service:
+    if verb is _SIGNOFF and target != service:
         raise _Rejected(4, f"signoff target must be the service itself ({service!r})")
     return tuple(args)
 

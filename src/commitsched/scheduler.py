@@ -48,7 +48,10 @@ no waiter). A retire asks only the waiters that conflict with the
 retired commitment, and activates the free ones in one pass in policy
 order, asking each again just before it runs. Within one drain
 activations only add blockers, so that pass makes exactly the choices of
-the greedy loop above.
+the greedy loop above. A retire that leaves its scopes held frees
+nobody, so it asks no waiter: a reader whose target bucket, and owner
+bucket if it has an owner, still hold active commitments. Its drain
+still activates the waiters already ready (barged ones, above).
 """
 
 from __future__ import annotations
@@ -72,6 +75,17 @@ class DecisionKind(Enum):
     WAIT = "wait"
 
 
+_READER = AccessClass.READER
+_WRITER = AccessClass.WRITER
+_SIGNOFF = Verb.SIGNOFF
+_COMPLETED = LifecycleState.COMPLETED
+_FAILED = LifecycleState.FAILED
+_VIOLATED = LifecycleState.VIOLATED
+_FCFS = Policy.FCFS
+_RUN = DecisionKind.EXECUTE
+_WAIT = DecisionKind.WAIT
+
+
 class Decision(Frozen):
     """Outcome of one submission: execute now, or wait behind blockers."""
 
@@ -79,9 +93,9 @@ class Decision(Frozen):
     blockers: tuple[str, ...]
 
     def __init__(self, kind, blockers=()):
-        if kind is DecisionKind.WAIT and not blockers:
+        if kind is _WAIT and not blockers:
             raise ValueError("a wait decision must name its blockers")
-        if kind is DecisionKind.EXECUTE and blockers:
+        if kind is _RUN and blockers:
             raise ValueError("an execute decision has no blockers")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "blockers", blockers)
@@ -98,7 +112,7 @@ class MonitoringReport(Frozen):
         object.__setattr__(self, "queue", queue)
 
 
-_EXECUTE = Decision(DecisionKind.EXECUTE)
+_EXECUTE = Decision(_RUN)
 
 
 def _drop(buckets: dict[str, dict[int, Commitment]], key: str, seq: int) -> None:
@@ -126,14 +140,14 @@ class _ScopeIndex:
         self.by_target.setdefault(c.content.target, {})[seq] = c
         if c.target_owner is not None:
             self.by_owner.setdefault(c.target_owner, {})[seq] = c
-        if c.content.verb is Verb.SIGNOFF:
+        if c.content.verb is _SIGNOFF:
             self.signoffs.setdefault(c.debtor, {})[seq] = c
 
     def remove(self, seq: int, c: Commitment) -> None:
         _drop(self.by_target, c.content.target, seq)
         if c.target_owner is not None:
             _drop(self.by_owner, c.target_owner, seq)
-        if c.content.verb is Verb.SIGNOFF:
+        if c.content.verb is _SIGNOFF:
             _drop(self.signoffs, c.debtor, seq)
 
     def _with_owner_scopes(self, c: Commitment, found: dict[int, Commitment] | None):
@@ -143,7 +157,7 @@ class _ScopeIndex:
         by its target's owner are indexed; most queries read one bucket.
         """
         merged = dict(found) if found else {}
-        if c.content.verb is Verb.SIGNOFF:
+        if c.content.verb is _SIGNOFF:
             merged.update(self.by_owner.get(c.debtor, ()))
         merged.update(self.signoffs.get(c.target_owner, ()))
         return [merged[seq] for seq in sorted(merged)]
@@ -159,11 +173,11 @@ class _HeldIndex(_ScopeIndex):
         found = self.by_target.get(c.content.target)
         if (
             found
-            and c.access is AccessClass.READER
-            and next(iter(found.values())).access is AccessClass.READER
+            and c.access is _READER
+            and next(iter(found.values())).access is _READER
         ):
             found = None  # readers only: all friends of c
-        if c.content.verb is Verb.SIGNOFF or c.target_owner in self.signoffs:
+        if c.content.verb is _SIGNOFF or c.target_owner in self.signoffs:
             return self._with_owner_scopes(c, found)
         return found.values() if found else ()
 
@@ -171,13 +185,13 @@ class _HeldIndex(_ScopeIndex):
         """True exactly when ``conflicting(c)`` returns anything."""
         found = self.by_target.get(c.content.target)
         if found and (
-            c.access is AccessClass.WRITER
-            or next(iter(found.values())).access is AccessClass.WRITER
+            c.access is _WRITER
+            or next(iter(found.values())).access is _WRITER
         ):
             return True
         if c.target_owner in self.signoffs:
             return True
-        return c.content.verb is Verb.SIGNOFF and c.debtor in self.by_owner
+        return c.content.verb is _SIGNOFF and c.debtor in self.by_owner
 
 
 class _WaitIndex(_ScopeIndex):
@@ -191,19 +205,19 @@ class _WaitIndex(_ScopeIndex):
 
     def add(self, seq: int, c: Commitment) -> None:
         super().add(seq, c)
-        if c.access is AccessClass.WRITER:
+        if c.access is _WRITER:
             self.writers.setdefault(c.content.target, {})[seq] = c
 
     def remove(self, seq: int, c: Commitment) -> None:
         super().remove(seq, c)
-        if c.access is AccessClass.WRITER:
+        if c.access is _WRITER:
             _drop(self.writers, c.content.target, seq)
 
     def conflicting(self, c: Commitment):
         """Every queued commitment whose mode conflicts with ``c``'s, by seq."""
-        by_mode = self.writers if c.access is AccessClass.READER else self.by_target
+        by_mode = self.writers if c.access is _READER else self.by_target
         found = by_mode.get(c.content.target)
-        if c.content.verb is Verb.SIGNOFF or c.target_owner in self.signoffs:
+        if c.content.verb is _SIGNOFF or c.target_owner in self.signoffs:
             return self._with_owner_scopes(c, found)
         return found.values() if found else ()
 
@@ -255,7 +269,7 @@ class Scheduler:
         self._waiting.add(self._take_seq(c.id), c)
         if not held:
             self._ready.add(c.id)
-        return Decision(DecisionKind.WAIT, tuple(held + waiting))
+        return Decision(_WAIT, tuple(held + waiting))
 
     def on_complete(self, cid: str, outcome: LifecycleState) -> list[Commitment]:
         """Retire an active commitment and activate eligible waiters.
@@ -263,7 +277,7 @@ class Scheduler:
         ``outcome`` is Completed or Failed; either releases the scope.
         Returns the newly activated commitments in activation order.
         """
-        if outcome is not LifecycleState.COMPLETED and outcome is not LifecycleState.FAILED:
+        if outcome is not _COMPLETED and outcome is not _FAILED:
             raise ValueError(f"outcome must be completed or failed, got {outcome}")
         return self._retire(cid, outcome)
 
@@ -273,7 +287,7 @@ class Scheduler:
         Scheduling-wise a violation releases the scope exactly like a
         completion; the commitment ends Violated.
         """
-        return self._retire(cid, LifecycleState.VIOLATED)
+        return self._retire(cid, _VIOLATED)
 
     def set_policy(self, policy: Policy) -> None:
         """Switch the service policy; only legal while the queue is empty."""
@@ -319,15 +333,23 @@ class Scheduler:
         per_service[final] = per_service.get(final, 0) + 1
         if not self._queue:
             return []
-        blocks = self._held.blocks
-        for q in self._waiting.conflicting(retired):
-            if same_scope(q, retired) and not blocks(q):
-                self._ready.add(q.id)
+        held = self._held
+        blocks = held.blocks
+        owner = retired.target_owner
+        # A reader whose scopes all stay held frees nobody: ask no waiter.
+        if (
+            retired.access is not _READER
+            or retired.content.target not in held.by_target
+            or (owner is not None and owner not in held.by_owner)
+        ):
+            for q in self._waiting.conflicting(retired):
+                if same_scope(q, retired) and not blocks(q):
+                    self._ready.add(q.id)
         if not self._ready:
             return []
         ready, self._ready = self._ready, set()
         queue, seqs = self._queue, self._seq
-        if self.policy is Policy.FCFS:
+        if self.policy is _FCFS:
             order = sorted(ready, key=lambda i: (queue[i].arrival, seqs[i]))
         else:
             order = sorted(ready, key=lambda i: (-queue[i].priority, queue[i].arrival, i))

@@ -56,6 +56,19 @@ from .world import (
     exec_tamper_guard,
 )
 
+_COLLECT = Verb.COLLECT
+_POST = Verb.POST
+_TAMPER = Verb.TAMPER
+_SIGNOFF = Verb.SIGNOFF
+_REVEAL = Verb.REVEAL
+_SOCIAL = CommitmentKind.SOCIAL
+_COMPLETED = LifecycleState.COMPLETED
+_FAILED = LifecycleState.FAILED
+_WAIT = DecisionKind.WAIT
+_REJECTED = EventKind.REJECTED
+_VIOLATION = EventKind.VIOLATION
+_SIGNEDOFF = EventKind.SIGNEDOFF
+
 
 class RunResult(Frozen):
     trace: Trace
@@ -175,7 +188,7 @@ class _Sim:
 
     def _do_complete(self, cid: str, failed: bool) -> None:
         holder = self.sched.active.get(cid)  # on_complete rejects an inactive cid
-        outcome = LifecycleState.FAILED if failed else LifecycleState.COMPLETED
+        outcome = _FAILED if failed else _COMPLETED
         activated = self.sched.on_complete(cid, outcome)
         self.lines.append(
             f"t={self.clock} {'Failed' if failed else 'Completed'} {cid} service={holder.debtor}"
@@ -202,15 +215,15 @@ class _Sim:
             raise self.fail(f"{service!r} is a member of no network")
         if guard is not None and not self.guards.get(guard, False):
             self.claimed_ids.add(cid)
-            self.emit(EventKind.REJECTED, cid, ("guard", guard))
+            self.emit(_REJECTED, cid, ("guard", guard))
             return
 
-        detail = None if verb is Verb.SIGNOFF else self.world.details.get(target)
+        detail = None if verb is _SIGNOFF else self.world.details.get(target)
         content = new_content(verb, target, owner, purpose, veracity, requester, payload)
         creditor = detail.network if detail else self.world.member_networks(service)[0]
         commitment = new_commitment(
             cid,
-            CommitmentKind.SOCIAL,
+            _SOCIAL,
             RESPONSIBILITY_FOR_VERB[verb],
             service,
             creditor,
@@ -226,7 +239,7 @@ class _Sim:
             f" target={target} access={commitment.access._value_} prio={commitment.priority}"
         )
         decision = self.sched.submit(commitment)
-        if decision.kind is DecisionKind.WAIT:
+        if decision.kind is _WAIT:
             self.lines.append(
                 f"t={self.clock} Waiting {cid} service={service}"
                 f" blockers={','.join(decision.blockers)}"
@@ -252,35 +265,35 @@ class _Sim:
                 ]
                 if violation.items:
                     attrs.append(("assignments", ",".join(violation.items)))
-                self.emit(EventKind.VIOLATION, c.id, *attrs)
+                self.emit(_VIOLATION, c.id, *attrs)
                 self.ok = False
                 work.extend(self.sched.on_violation(c.id))
 
     def _execute(self, c: Commitment) -> Violation | None:
         verb = c.content.verb
-        if verb is Verb.COLLECT:
+        if verb is _COLLECT:
             target = c.content.target
             violation = exec_collect(self.world, c.debtor, target, c.content.purpose, self.clock)
             if violation is None:
                 self.world.with_collection(target, self.clock)
             return violation
-        if verb is Verb.POST:
+        if verb is _POST:
             return self._write(c, veracity=bool(c.content.veracity))
-        if verb is Verb.TAMPER:
+        if verb is _TAMPER:
             violation = exec_tamper_guard(self.world, c.content.target)
             if violation is None:
                 # Nothing was ever collected: the attempt degrades to an
                 # ordinary write and answers to resp2 instead.
                 return self._write(c, veracity=True)
             return violation
-        if verb is Verb.SIGNOFF:
+        if verb is _SIGNOFF:
             result = exec_signoff(self.world, c.debtor)
             if isinstance(result, Violation):
                 return result
             self.world.without_memberships(c.debtor)
-            self.emit(EventKind.SIGNEDOFF, c.debtor, ("network", ",".join(result)))
+            self.emit(_SIGNEDOFF, c.debtor, ("network", ",".join(result)))
             return None
-        if verb is Verb.REVEAL:
+        if verb is _REVEAL:
             result = exec_reveal(self.world, c.content.target, c.content.requester, self.clock)
             return result if isinstance(result, Violation) else None
         raise AssertionError(f"unhandled verb {verb}")

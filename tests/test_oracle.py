@@ -202,11 +202,9 @@ MUTATIONS = {
         "        if c.target_owner in self.signoffs:\n", "        if False:\n"
     ),
     "blocks-ignores-owner-bucket": (
-        "c.content.verb is Verb.SIGNOFF and c.debtor in self.by_owner", "False"
+        "c.content.verb is _SIGNOFF and c.debtor in self.by_owner", "False"
     ),
-    "blocks-reader-as-writer": (
-        "            c.access is AccessClass.WRITER\n", "            True\n"
-    ),
+    "blocks-reader-as-writer": ("            c.access is _WRITER\n", "            True\n"),
 }
 # These need owner scopes or sign-offs, which only the owner slots hold.
 OWNER_MUTATIONS = {
@@ -214,18 +212,33 @@ OWNER_MUTATIONS = {
 }
 
 
-def _mutant(name):
-    """``Scheduler`` built from scheduler.py with one mutation applied."""
-    old, new = MUTATIONS[name]
+_SHARED_TYPES = (scheduler.Policy, scheduler.DecisionKind, scheduler.Decision)
+
+
+def _mutant(name=None):
+    """``Scheduler`` built from scheduler.py with one mutation applied (none without a name)."""
     path = Path(scheduler.__file__)
     source = path.read_text(encoding="utf-8")
-    assert source.count(old) == 1, f"{name}: the mutated text is not in scheduler.py once"
+    if name is not None:
+        old, new = MUTATIONS[name]
+        assert source.count(old) == 1, f"{name}: the mutated text is not in scheduler.py once"
+        source = source.replace(old, new)
     namespace = {"__name__": "scheduler_mutant", "__package__": "commitsched"}
-    exec(compile(source.replace(old, new), str(path), "exec"), namespace)
-    # The walk compares policies and decisions with the real module's values.
-    for shared in ("Policy", "DecisionKind", "Decision", "_EXECUTE"):
-        namespace[shared] = getattr(scheduler, shared)
+    exec(compile(source, str(path), "exec"), namespace)
+    # The walk compares policies and decisions with the real module's values,
+    # so the mutant takes those types and every module-level value of them
+    # (``_EXECUTE``, ``_FCFS``, ``_WAIT``, ...) from the real module.
+    for shared, value in vars(scheduler).items():
+        if value in _SHARED_TYPES or isinstance(value, _SHARED_TYPES):
+            namespace[shared] = value
     return namespace["Scheduler"]
+
+
+@pytest.mark.parametrize("slots", [TARGET_SLOTS, OWNER_SLOTS], ids=["targets", "owners"])
+def test_unmutated_mutant_runs_a_clean_grid(slots, monkeypatch):
+    # The harness itself adds no fault: each row below fails for its edit.
+    monkeypatch.setattr(equivalence, "Scheduler", _mutant())
+    assert run_grid(3, slots).faults == []
 
 
 @pytest.mark.parametrize("name", list(MUTATIONS))

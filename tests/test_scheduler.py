@@ -214,6 +214,42 @@ def test_drain_reads_each_waiter_a_bounded_number_of_times(monkeypatch):
     assert read <= 2 * 60
 
 
+def test_retire_that_leaves_its_scope_held_reads_no_waiter(monkeypatch):
+    # 30 readers active on d, 30 writers queued behind them. Until the last
+    # reader goes, each retire frees nobody; walking the writers on every
+    # one reads 30 * 30 entries to activate the first writer.
+    s = Scheduler()
+    for i in range(30):
+        s.submit(make_commitment(f"r{i}", R, "d"))
+    for i in range(30):
+        s.submit(make_commitment(f"w{i}", W, "d", arrival=1))
+    read = 0
+    query = _WaitIndex.conflicting
+
+    def counted(self, c):
+        nonlocal read
+        found = list(query(self, c))
+        read += len(found)
+        return found
+
+    monkeypatch.setattr(_WaitIndex, "conflicting", counted)
+    activated = [s.on_complete(f"r{i}", LifecycleState.COMPLETED) for i in range(30)]
+    assert activated == [[]] * 29 + [[s.active["w0"]]]
+    assert len(s.queue) == 29
+    assert read <= 2 * 30
+
+
+def test_retire_that_frees_an_owner_scope_asks_its_waiters():
+    # r1 leaves d held by r2 but was the last reader on a detail of s, so
+    # the sign-off by s that waits on the owner scope runs.
+    s = Scheduler()
+    s.submit(make_commitment("r1", R, "d", target_owner="s"))
+    s.submit(make_commitment("r2", R, "d"))
+    signoff = make_commitment("so", W, debtor="s", verb=Verb.SIGNOFF)
+    assert s.submit(signoff).blockers == ("r1",)
+    assert s.on_complete("r1", LifecycleState.COMPLETED) == [signoff]
+
+
 def test_failed_outcome_releases_scope_like_completed():
     s = _loaded(Policy.FCFS, ("c2", W, 0))
     activated = s.on_complete("c1", LifecycleState.FAILED)
