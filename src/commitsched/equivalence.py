@@ -8,6 +8,8 @@ each submit and ``oracle.drain_fault`` each retire, on the states the
 scheduler shows; a run left with nothing active must have an empty
 queue. Each branch but the last replays its completion prefix on a fresh
 scheduler and the last goes on with the live one: one replay per order.
+``_mini_commitment`` projects a real commitment back onto a slot's
+values, so random runs of the scheduler are judged by the same mapping.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 from .model import (
+    AccessClass,
     Commitment,
     CommitmentKind,
     ContentAction,
@@ -42,6 +45,7 @@ TARGET_SLOTS = tuple(
 )
 OWNER_SLOTS = (
     (READER, "d", 0, "s"),
+    (READER, "d", 0, None),  # shares d with the owned reader, not its owner scope
     (WRITER, "d", 0, None),
     (WRITER, "e", 0, "s"),
     (SIGNOFF, "s", 0, None),
@@ -71,6 +75,19 @@ def _real_commitment(mini: MiniCommitment) -> Commitment:
         clock=mini.arrival,
         target_owner=mini.owner,
     )
+
+
+def _mini_commitment(c: Commitment) -> MiniCommitment:
+    """What the oracle's predicates read of ``c``; ``_real_commitment`` inverted.
+
+    A sign-off verb is ``SIGNOFF`` (its target is the leaving service),
+    any other verb a reader or a writer by its access class.
+    """
+    if c.content.verb is Verb.SIGNOFF:
+        access = SIGNOFF
+    else:
+        access = READER if c.access is AccessClass.READER else WRITER
+    return MiniCommitment(c.id, access, c.content.target, c.priority, c.arrival, c.target_owner)
 
 
 class GridReport:

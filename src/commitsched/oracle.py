@@ -13,7 +13,8 @@ left behind to be the one the step announced, so that, step by step, no
 two active commitments ever contend. ``equivalence.run_grid`` asks
 both about every step of the real scheduler on every small instance
 (bounded-exhaustive checking against predicates: Boyapati, Khurshid &
-Marinov, "Korat", ISSTA 2002).
+Marinov, "Korat", ISSTA 2002), and a random driver in the tests asks
+them about every step of long runs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Pairwise commitment compatibility.
+"""Compatibility of two commitments.
 
 Two commitments contend only when they share a scope: the same content
 target, or a sign-off by the service that owns the other's target detail

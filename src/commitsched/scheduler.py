@@ -9,9 +9,11 @@ Design rules:
     policy's first queued commitment that conflicts with no *active*
     one. Queued conflicts are not consulted here, so a commitment queued
     only behind other waiters activates on the next retire of anything,
-    ahead of them (FCFS barging; see ROADMAP item 1). ``Pairwise`` in
-    ``tests/test_scheduler_differential.py`` restates this rule as a
-    loop of single drain steps, checked against this class.
+    ahead of them (FCFS barging; see ROADMAP item 1). The oracle's
+    predicates ``admission_fault`` and ``drain_fault`` state what a
+    submit and a retire may do; ``equivalence.run_grid`` checks this
+    class against them on every small instance, and the random driver
+    in ``tests/test_oracle.py`` on long runs with sign-offs.
   - FCFS serves by arrival, then queue order; Priority serves by
     priority, then arrival, then lexicographic id. Priority acts only at
     dequeue time.

@@ -54,6 +54,11 @@ from .model import Frozen, Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
 
+# Members the per-call exec_* checks load, bound once (see ``model``'s
+# docstring), in definition order.
+_PUBLIC, _PRIVATE = Privacy
+_RESP1, _RESP2, _RESP3, _RESP4, _RESP5 = Responsibility
+
 
 class AssignmentStatus(Enum):
     ONGOING = "ongoing"
@@ -236,9 +241,9 @@ def exec_collect(
     if d is None:
         raise UnknownDetail(f"no detail {detail_key!r}")
     if not valid(w, d.network, purpose):
-        return Violation(Responsibility.RESP1, "invalid-purpose")
+        return Violation(_RESP1, "invalid-purpose")
     if not w.is_member(collector, d.network):
-        return Violation(Responsibility.RESP1, "collector-not-member")
+        return Violation(_RESP1, "collector-not-member")
     return None
 
 
@@ -265,13 +270,13 @@ def exec_post(
     if net is None or net not in w.networks:
         raise UnknownNetwork(f"no network {net!r} to post into")
     if not veracity:
-        return Violation(Responsibility.RESP2, "untrue-content")
+        return Violation(_RESP2, "untrue-content")
     if not w.is_member(poster, net):
-        return Violation(Responsibility.RESP2, "poster-not-member")
+        return Violation(_RESP2, "poster-not-member")
     new_value = value if value is not None else f"{poster}@t{t}"
     if d is not None:
         return _evolve(d, value=new_value)
-    return Detail(detail_key, poster, net, Privacy.PUBLIC, new_value)
+    return Detail(detail_key, poster, net, _PUBLIC, new_value)
 
 
 def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation | None:
@@ -285,7 +290,7 @@ def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation | None:
         raise UnknownDetail(f"no detail {detail_key!r}")
     if detail_key not in w.latest_approval:
         return None
-    return Violation(Responsibility.RESP3, "tamper-after-collection")
+    return Violation(_RESP3, "tamper-after-collection")
 
 
 def exec_signoff(w: WorldState, service: str) -> tuple[str, ...] | Violation:
@@ -300,7 +305,7 @@ def exec_signoff(w: WorldState, service: str) -> tuple[str, ...] | Violation:
         raise UnknownService(f"{service!r} is not a member of any network")
     ongoing = w.ongoing_assignments(service)
     if ongoing:
-        return Violation(Responsibility.RESP4, "ongoing-assignments", items=ongoing)
+        return Violation(_RESP4, "ongoing-assignments", items=ongoing)
     return networks
 
 
@@ -316,11 +321,11 @@ def exec_reveal(w: WorldState, detail_key: str, requester: str, t: int) -> str |
         raise UnknownDetail(f"no detail {detail_key!r}")
     if w.is_member(requester, d.network):
         return d.value
-    if d.privacy is Privacy.PRIVATE:
-        return Violation(Responsibility.RESP5, "private-to-nonmember")
+    if d.privacy is _PRIVATE:
+        return Violation(_RESP5, "private-to-nonmember")
     latest = w.latest_approval.get(detail_key)
     if latest is None:
-        return Violation(Responsibility.RESP5, "no-approved-collection")
+        return Violation(_RESP5, "no-approved-collection")
     if t - latest <= w.reveal_ttl:
         return d.value
-    return Violation(Responsibility.RESP5, "authorization-expired")
+    return Violation(_RESP5, "authorization-expired")

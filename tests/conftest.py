@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import strategies as st
 
@@ -57,21 +59,27 @@ def make_commitment(
 SERVICES = ("svcA", "svcB")
 # "svcA" is also a detail key: a post on it shares the target of svcA's sign-off.
 TARGETS = ("d", "e", "svcA")
+# (verb, debtor, target, priority, arrival, target owner): arrivals repeat and
+# need not grow. One draw per commitment keeps a long random run cheap.
+_SPECS = st.sampled_from(
+    list(product(Verb, SERVICES, TARGETS, (0, 10), range(3), (None,) + SERVICES))
+)
 
 
-@st.composite
-def any_commitment(draw, cid: str):
-    """Any verb, sign-offs included, on a small set of services and targets."""
-    verb = draw(st.sampled_from(list(Verb)))
-    debtor = draw(st.sampled_from(SERVICES))
+def any_commitment(data, cid: str):
+    """Draw any verb, sign-offs included, on a small set of services and targets.
+
+    A sign-off's target is its debtor, whatever target was drawn.
+    """
+    verb, debtor, target, priority, arrival, owner = data.draw(_SPECS, label=cid)
     return make_commitment(
         cid,
         ACCESS_FOR_VERB[verb],
-        target=debtor if verb is Verb.SIGNOFF else draw(st.sampled_from(TARGETS)),
-        priority=draw(st.sampled_from([0, 10])),
-        arrival=draw(st.integers(0, 2)),  # equal and non-monotonic arrivals
+        target=debtor if verb is Verb.SIGNOFF else target,
+        priority=priority,
+        arrival=arrival,
         debtor=debtor,
-        target_owner=draw(st.sampled_from((None,) + SERVICES)),
+        target_owner=owner,
         verb=verb,
     )
 

@@ -15,7 +15,7 @@ import types
 
 import pytest
 
-from commitsched import model, scenario, scheduler, simulator
+from commitsched import model, scenario, scheduler, simulator, world
 from commitsched.model import Verb
 
 PER_CALL = (
@@ -40,6 +40,11 @@ PER_CALL = (
     simulator._Sim._process_activations,
     simulator._Sim._execute,
     scenario._parse_submit,
+    world.exec_collect,
+    world.exec_post,
+    world.exec_tamper_guard,
+    world.exec_signoff,
+    world.exec_reveal,
 )
 
 

@@ -1,24 +1,32 @@
-"""The specification's predicates, and the walk that checks the real scheduler."""
+"""The specification's predicates, and the two drivers that check the real
+scheduler against them: the exhaustive walk of small instances and random
+long runs."""
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from commitsched import equivalence, scheduler
 from commitsched.cli import main
 from commitsched.equivalence import OWNER_SLOTS, TARGET_SLOTS, GridReport, run_grid
 from commitsched.errors import UnknownId
+from commitsched.model import LifecycleState
 from commitsched.oracle import (
     READER,
     SIGNOFF,
     WRITER,
     MiniCommitment,
+    _contend,
     admission_fault,
     drain_fault,
 )
-from commitsched.scheduler import Policy
+from commitsched.scheduler import DecisionKind, Policy
+
+from conftest import any_commitment
 
 
 def R(cid, target="d", prio=0, arr=0, owner=None):
@@ -177,11 +185,20 @@ def test_grid_of_three_is_clean():
 
 
 def test_owner_grid_of_three_is_clean():
-    assert _clean_grid_of_three(OWNER_SLOTS) == (84, 354, 1366)
+    assert _clean_grid_of_three(OWNER_SLOTS) == (155, 832, 2988)
 
 
-# Each is one edit of scheduler.py, and each must make the grid of three
-# report faults.
+@pytest.mark.parametrize("slots", [TARGET_SLOTS, OWNER_SLOTS], ids=["targets", "owners"])
+def test_projection_inverts_the_grid_commitment(slots):
+    # The grid builds real commitments from slots and the random runs project
+    # real ones back: both read one mapping.
+    for n, (access, target, priority, owner) in enumerate(slots):
+        mini = MiniCommitment(f"c{n}", access, target, priority, n, owner)
+        assert equivalence._mini_commitment(equivalence._real_commitment(mini)) == mini
+
+
+# Each is one edit of scheduler.py, and each must make both the grid of three
+# and the random runs below report faults.
 MUTATIONS = {
     "batch-reversed": ("        for qid in order:\n", "        for qid in order[::-1]:\n"),
     "drain-stops-after-one": (
@@ -205,10 +222,14 @@ MUTATIONS = {
         "c.content.verb is _SIGNOFF and c.debtor in self.by_owner", "False"
     ),
     "blocks-reader-as-writer": ("            c.access is _WRITER\n", "            True\n"),
+    "retire-skips-owner-scope": (
+        "\n            or (owner is not None and owner not in held.by_owner)", ""
+    ),
 }
 # These need owner scopes or sign-offs, which only the owner slots hold.
 OWNER_MUTATIONS = {
     "owner-bucket-skipped", "blocks-ignores-signoffs", "blocks-ignores-owner-bucket",
+    "retire-skips-owner-scope",
 }
 
 
@@ -249,6 +270,124 @@ def test_grid_catches_a_scheduler_mutation(name, monkeypatch):
     assert report.faults
 
 
+# -- random runs --------------------------------------------------------------------
+
+_RETIRES = st.sampled_from(
+    (LifecycleState.COMPLETED, LifecycleState.FAILED, LifecycleState.VIOLATED)
+)
+
+
+def _retire(s, cid, final):
+    if final is LifecycleState.VIOLATED:
+        return s.on_violation(cid)
+    return s.on_complete(cid, final)
+
+
+def _random_run(engine, policy: Policy, data) -> None:
+    """Drive an ``engine`` (a ``Scheduler`` class) through up to 40 random steps.
+
+    Each step submits ``conftest.any_commitment`` (sign-offs, owner
+    scopes, equal and non-monotone arrivals), retires an active id by
+    completion, failure or violation, or retires a queued or retired id.
+    Every commitment is projected once by ``equivalence._mini_commitment``,
+    the mapping the grid inverts, and the oracle judges the observed
+    states: ``admission_fault`` every submit, ``drain_fault`` every retire.
+    Nothing here restates the drain rule. The run also checks what the
+    predicates do not read: the engine holds and returns the caller's own
+    objects; retiring an inactive id raises ``UnknownId`` and changes
+    nothing; ``snapshot()`` equals a count, kept here, of each id's last
+    outcome, with the queue in order; and ``_held.blocks`` of each waiter
+    agrees with ``_held.conflicting`` and with ``oracle._contend`` over the
+    active set.
+    """
+    s = engine(policy)
+    made, minis = {}, {}  # id -> the submitted commitment, and its projection
+    last = {}  # id -> Waiting, Active or its final state
+
+    def observe():
+        return tuple(minis[i] for i in s.active), tuple(minis[c.id] for c in s.queue)
+
+    state = ((), ())
+    for step in range(data.draw(st.integers(1, 40), label="steps")):
+        active = list(s.active)
+        inactive = sorted(last.keys() - s.active.keys())  # queued or retired
+        ops = ["submit", "submit"] + ["retire"] * bool(active) + ["inactive"] * bool(inactive)
+        op = data.draw(st.sampled_from(ops), label="op")
+        if op == "submit":
+            c = any_commitment(data, f"c{step}")
+            made[c.id] = c
+            mini = minis[c.id] = equivalence._mini_commitment(c)
+            decision = s.submit(c)
+            blockers = decision.blockers if decision.kind is DecisionKind.WAIT else ()
+            after = observe()
+            fault = admission_fault(mini, state, blockers, after)
+            last[c.id] = LifecycleState.WAITING if blockers else LifecycleState.ACTIVE
+        elif op == "retire":
+            cid = data.draw(st.sampled_from(active), label="retired")
+            final = data.draw(_RETIRES, label="final")
+            activated = _retire(s, cid, final)
+            assert all(a is made[a.id] for a in activated)
+            after = observe()
+            fault = drain_fault(
+                policy.value, state, cid, tuple(minis[a.id] for a in activated), after
+            )
+            last[cid] = final
+            last.update((a.id, LifecycleState.ACTIVE) for a in activated)
+        else:
+            cid = data.draw(st.sampled_from(inactive), label="inactive")
+            with pytest.raises(UnknownId):
+                _retire(s, cid, data.draw(_RETIRES, label="final"))
+            after = observe()
+            fault = None if after == state else f"retiring inactive {cid} changed the state"
+        assert fault is None, fault
+        state = after
+        assert all(c is made[cid] for cid, c in s.active.items())
+        assert all(c is made[c.id] for c in s.queue)
+        counts = Counter((made[cid].debtor, outcome) for cid, outcome in last.items())
+        report = s.snapshot()
+        assert counts == {
+            (svc, outcome): n for svc, per in report.by_service.items() for outcome, n in per.items()
+        }
+        assert report.queue == tuple(m.id for m in state[1])
+        for q in s.queue:
+            blocked = s._held.blocks(q)
+            assert blocked == bool(list(s._held.conflicting(q)))
+            assert blocked == any(_contend(minis[q.id], a) for a in state[0])
+
+
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+@given(policy=st.sampled_from(list(Policy)), data=st.data())
+def test_random_runs_keep_the_oracle_predicates(policy, data):
+    _random_run(scheduler.Scheduler, policy, data)
+
+
+# The mutation rows and their control run one fixed sequence of examples and
+# report the first failure unshrunk: a red row takes seconds, not minutes.
+@settings(
+    max_examples=500,
+    phases=[Phase.generate],
+    derandomize=True,
+    database=None,
+    deadline=None,
+    report_multiple_bugs=False,
+)
+@given(policy=st.sampled_from(list(Policy)), data=st.data())
+def _fixed_random_runs(engine, policy, data):
+    _random_run(engine, policy, data)
+
+
+def test_unmutated_mutant_passes_random_runs():
+    # The harness itself adds no fault on the sequence the rows below fail on.
+    _fixed_random_runs(_mutant())
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_random_runs_catch_a_scheduler_mutation(name):
+    # A fault is a failed check of the run or an error the mutant raises.
+    with pytest.raises((Exception, pytest.fail.Exception)):
+        _fixed_random_runs(_mutant(name))
+
+
 def test_oracle_command_reports_a_raising_submit(monkeypatch, capsys):
     # A wait decision without blockers raises inside submit: a fault, not a crash.
     monkeypatch.setattr(equivalence, "Scheduler", _mutant("blockers-without-queued"))
@@ -256,8 +395,8 @@ def test_oracle_command_reports_a_raising_submit(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:4] == [
         "targets: combinations=584 runs=3584 states=12096",
-        "owners: combinations=84 runs=354 states=1240",
-        "pass=3736 fail=202",
+        "owners: combinations=155 runs=832 states=2826",
+        "pass=4202 fail=214",
         "  [fcfs] c0:R(d)p0a0,c1:W(d)p0a1,c2:R(d)p0a1: submit c2: "
         "scheduler raised ValueError('a wait decision must name its blockers')",
     ]
@@ -273,7 +412,7 @@ def test_oracle_command_reports_an_engine_error_as_a_fault(monkeypatch, capsys):
     monkeypatch.setattr(equivalence, "Scheduler", Refusing)
     assert main(["oracle", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[2] == "pass=0 fail=24"
+    assert out[2] == "pass=0 fail=26"
     assert out[3] == "  [fcfs] c0:R(d)p0a0: complete c0: scheduler raised UnknownId('c0')"
 
 

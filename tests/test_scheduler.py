@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from commitsched.errors import DuplicateId, NonEmptyQueue, UnknownId
 from commitsched.model import AccessClass, LifecycleState, Verb
-from commitsched.relations import classify, conflicts, same_scope
 from commitsched.scheduler import (
     Decision,
     DecisionKind,
@@ -16,7 +14,7 @@ from commitsched.scheduler import (
     _WaitIndex,
 )
 
-from conftest import any_commitment, make_commitment
+from conftest import make_commitment
 
 R = AccessClass.READER
 W = AccessClass.WRITER
@@ -107,17 +105,6 @@ def test_unknown_completion_rejected():
     s = Scheduler()
     with pytest.raises(UnknownId):
         s.on_complete("ghost", LifecycleState.COMPLETED)
-
-
-def test_queued_completion_rejected():
-    s = Scheduler()
-    s.submit(make_commitment("w1", W, "d"))
-    s.submit(make_commitment("r2", R, "d", arrival=1))
-    queue, active = s.queue, dict(s.active)
-    with pytest.raises(UnknownId):
-        s.on_complete("r2", LifecycleState.COMPLETED)
-    assert s.queue == queue
-    assert dict(s.active) == active
 
 
 def test_scheduler_holds_and_returns_the_submitted_objects():
@@ -250,6 +237,32 @@ def test_retire_that_frees_an_owner_scope_asks_its_waiters():
     assert s.on_complete("r1", LifecycleState.COMPLETED) == [signoff]
 
 
+def test_signoff_blockers_keep_activation_then_queue_order():
+    # r1 (owner svcB) and w2 active; w3 queued behind w2; the sign-off of svcB
+    # contends with r1 through the owner scope and with w3 through the target.
+    s = Scheduler()
+    s.submit(make_commitment("w2", W, "svcB"))
+    s.submit(make_commitment("r1", R, "d", target_owner="svcB"))
+    s.submit(make_commitment("w3", W, "svcB", arrival=1))
+    off = make_commitment("off", W, debtor="svcB", verb=Verb.SIGNOFF, arrival=2)
+    assert s.submit(off) == Decision(DecisionKind.WAIT, ("w2", "r1", "w3"))
+    assert [c.id for c in s.on_complete("w2", LifecycleState.COMPLETED)] == ["w3"]
+    assert [c.id for c in s.on_complete("r1", LifecycleState.COMPLETED)] == []
+    assert [c.id for c in s.on_complete("w3", LifecycleState.COMPLETED)] == ["off"]
+
+
+def test_activation_from_the_queue_takes_a_fresh_sequence_number():
+    # q activates after a2, so a2 precedes it in activation order, and the
+    # sign-off, which finds both through the owner scope, lists a2 first.
+    s = Scheduler()
+    s.submit(make_commitment("a1", W, "d", target_owner="svcB"))
+    s.submit(make_commitment("q", R, "d", target_owner="svcB"))
+    s.submit(make_commitment("a2", W, "e", target_owner="svcB"))
+    assert [c.id for c in s.on_complete("a1", LifecycleState.COMPLETED)] == ["q"]
+    off = make_commitment("off", W, debtor="svcB", verb=Verb.SIGNOFF)
+    assert s.submit(off) == Decision(DecisionKind.WAIT, ("a2", "q"))
+
+
 def test_failed_outcome_releases_scope_like_completed():
     s = _loaded(Policy.FCFS, ("c2", W, 0))
     activated = s.on_complete("c1", LifecycleState.FAILED)
@@ -318,92 +331,6 @@ def test_snapshot_after_completion():
         "svcA": {LifecycleState.COMPLETED: 1, LifecycleState.ACTIVE: 1}
     }
     assert report.queue == ()
-
-
-# -- properties --------------------------------------------------------------------
-
-def _conflict(a, b) -> bool:
-    """The conflict rule of ``relations``: same scope, and not friends."""
-    return same_scope(a, b) and conflicts(classify(a, b))
-
-
-def _safety_holds(s: Scheduler) -> bool:
-    actives = list(s.active.values())
-    return not any(
-        _conflict(a, b) for i, a in enumerate(actives) for b in actives[i + 1:]
-    )
-
-
-commitment_specs = st.lists(
-    st.tuples(
-        st.sampled_from([R, W]),
-        st.sampled_from(["d", "e"]),
-        st.sampled_from([0, 10]),
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(specs=commitment_specs, policy=st.sampled_from(list(Policy)), data=st.data())
-def test_random_runs_stay_safe_and_drain(specs, policy, data):
-    s = Scheduler(policy)
-    pending = [
-        make_commitment(f"c{i}", access, target, priority=prio, arrival=i)
-        for i, (access, target, prio) in enumerate(specs)
-    ]
-    while pending or s.active:
-        if pending and (not s.active or data.draw(st.booleans(), label="submit next")):
-            s.submit(pending.pop(0))
-        else:
-            cid = data.draw(st.sampled_from(sorted(s.active)), label="complete")
-            s.on_complete(cid, LifecycleState.COMPLETED)
-        assert _safety_holds(s)
-    assert s.queue == ()
-
-
-@settings(max_examples=80, deadline=None)
-@given(specs=commitment_specs)
-def test_distinct_targets_admit_immediately(specs):
-    s = Scheduler()
-    for i, (access, _, prio) in enumerate(specs):
-        d = s.submit(make_commitment(f"c{i}", access, f"t{i}", priority=prio, arrival=i))
-        assert d.kind is DecisionKind.EXECUTE
-
-
-RETIRES = ("completed", "failed", "violated")
-
-
-@settings(max_examples=200, deadline=None)
-@given(policy=st.sampled_from(list(Policy)), data=st.data())
-def test_readiness_and_wait_blockers_match_a_relations_scan(policy, data):
-    # The scope index reads only the buckets whose access mode conflicts;
-    # every answer must equal a plain scan with the relations rule, and the
-    # readiness predicate must agree with both that scan and the query.
-    s = Scheduler(policy)
-    for i in range(data.draw(st.integers(1, 40), label="steps")):
-        if s.active and data.draw(st.booleans(), label="retire"):
-            cid = data.draw(st.sampled_from(sorted(s.active)), label="retired")
-            outcome = data.draw(st.sampled_from(RETIRES), label="outcome")
-            if outcome == "violated":
-                s.on_violation(cid)
-            else:
-                s.on_complete(cid, LifecycleState(outcome))
-        else:
-            c = data.draw(any_commitment(f"c{i}"), label="submitted")
-            scan = [x.id for x in s.active.values() if _conflict(c, x)]
-            scan += [x.id for x in s.queue if _conflict(c, x)]
-            decision = s.submit(c)
-            if scan:
-                assert decision == Decision(DecisionKind.WAIT, tuple(scan))
-            else:
-                assert decision.kind is DecisionKind.EXECUTE
-        assert _safety_holds(s)
-        for q in s.queue:
-            blocked = s._held.blocks(q)
-            assert blocked == any(_conflict(q, a) for a in s.active.values())
-            assert blocked == bool(list(s._held.conflicting(q)))
 
 
 def test_deterministic_replay():
