@@ -54,10 +54,14 @@ from .model import Frozen, Privacy, Responsibility, _evolve
 
 DEFAULT_REVEAL_TTL = 100
 
-# Members the per-call exec_* checks load, bound once (see ``model``'s
-# docstring), in definition order.
-_PUBLIC, _PRIVATE = Privacy
-_RESP1, _RESP2, _RESP3, _RESP4, _RESP5 = Responsibility
+# Members the per-call exec_* checks load, bound once (see ``model``'s docstring).
+_PUBLIC = Privacy.PUBLIC
+_PRIVATE = Privacy.PRIVATE
+_RESP1 = Responsibility.RESP1
+_RESP2 = Responsibility.RESP2
+_RESP3 = Responsibility.RESP3
+_RESP4 = Responsibility.RESP4
+_RESP5 = Responsibility.RESP5
 
 
 class AssignmentStatus(Enum):

@@ -4,11 +4,13 @@ long runs."""
 
 from __future__ import annotations
 
+import traceback
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.errors import HypothesisException
 
 from commitsched import equivalence, scheduler
 from commitsched.cli import main
@@ -381,11 +383,22 @@ def test_unmutated_mutant_passes_random_runs():
     _fixed_random_runs(_mutant())
 
 
+def _raised_by_the_run(exc: BaseException) -> bool:
+    """True for a failed check of the run or an error the mutant's own code
+    raised; false for an error of Hypothesis or of the rest of the harness."""
+    frames = traceback.walk_tb(exc.__traceback__)
+    return not isinstance(exc, HypothesisException) and (
+        isinstance(exc, (AssertionError, pytest.fail.Exception))
+        or any(f.f_globals.get("__name__") == "scheduler_mutant" for f, _ in frames)
+    )
+
+
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_random_runs_catch_a_scheduler_mutation(name):
-    # A fault is a failed check of the run or an error the mutant raises.
-    with pytest.raises((Exception, pytest.fail.Exception)):
-        _fixed_random_runs(_mutant(name))
+    engine = _mutant(name)  # outside the check: a stale row fails here
+    with pytest.raises((Exception, pytest.fail.Exception)) as caught:
+        _fixed_random_runs(engine)
+    assert _raised_by_the_run(caught.value), repr(caught.value)
 
 
 def test_oracle_command_reports_a_raising_submit(monkeypatch, capsys):

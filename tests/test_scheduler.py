@@ -74,6 +74,15 @@ def test_disjoint_scopes_never_interact():
     assert d.kind is DecisionKind.EXECUTE
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_distinct_targets_admit_immediately(policy):
+    s = Scheduler(policy)
+    for i, (access, prio) in enumerate([(W, 0), (R, 10), (W, 10), (R, 0), (W, 0)]):
+        d = s.submit(make_commitment(f"c{i}", access, f"t{i}", priority=prio, arrival=i))
+        assert d.kind is DecisionKind.EXECUTE
+    assert s.queue == ()
+
+
 def test_duplicate_id_rejected():
     s = Scheduler()
     s.submit(make_commitment("c1", R, "d"))
@@ -105,6 +114,17 @@ def test_unknown_completion_rejected():
     s = Scheduler()
     with pytest.raises(UnknownId):
         s.on_complete("ghost", LifecycleState.COMPLETED)
+
+
+def test_queued_completion_rejected():
+    s = Scheduler()
+    s.submit(make_commitment("w1", W, "d"))
+    s.submit(make_commitment("r2", R, "d", arrival=1))
+    queue, active = s.queue, dict(s.active)
+    with pytest.raises(UnknownId):
+        s.on_complete("r2", LifecycleState.COMPLETED)
+    assert s.queue == queue
+    assert dict(s.active) == active
 
 
 def test_scheduler_holds_and_returns_the_submitted_objects():
