@@ -10,20 +10,17 @@ and the two derivations every commitment carries:
                    and 0 otherwise (private outranks public).
 
 Every value type subclasses ``Frozen``, which makes it immutable and
-compares, hashes and prints it by its annotated fields, and has a plain
-``__init__`` that sets each field. A commitment carries no lifecycle state:
-``LifecycleState`` only names the states, and the scheduler keeps them
-as where each id lives (active, queued, or tallied under its final
-state). So a commitment is built once and never copied.
-``new_commitment`` validates its arguments itself and fills a fresh
-instance dictionary in one step (``_build``), without ``__init__``;
-``_evolve`` copies a detail or an assignment of the world the same
-way. Equality, hashing, ``repr`` and the frozen-attribute check are
-``Frozen``'s, whichever way a value was made.
-``new_content`` builds a ``ContentAction`` without ``__init__`` too,
-setting each field itself; it and the constructor both validate with
-``_check_content``, the one statement of the content rule. The run path
-also builds the ``detail`` command's world ``Detail`` with ``_build``.
+compares, hashes and prints it by its annotated fields. Each value type
+but ``Commitment`` is built by its constructor, a plain ``__init__``
+that sets each field. ``new_commitment`` is the one builder of a
+commitment: it validates its arguments, derives the access class and
+priority, and fills a fresh instance dictionary in one step.
+``Commitment`` has no constructor of its own, so no caller can give a
+commitment an access class or a priority that contradicts its verb.
+A commitment carries no lifecycle state: ``LifecycleState`` only names
+the states, and the scheduler keeps them as where each id lives
+(active, queued, or tallied under its final state). So a commitment is
+built once and never copied.
 
 Enums used as dictionary keys on the per-commitment path hash by
 identity (``__hash__ = object.__hash__``, computed without running Python
@@ -132,6 +129,8 @@ class Frozen:
     ``Name(field=value, ...)``: all three as a frozen dataclass makes
     them. Setting or deleting an attribute raises ``AttributeError``, so
     a subclass ``__init__`` sets each field with ``object.__setattr__``.
+    ``Commitment`` has no ``__init__``: ``new_commitment`` is its one
+    builder, and fills the instance dictionary itself.
     """
 
     def __init_subclass__(cls):
@@ -159,18 +158,6 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _check_content(verb, target, owner, purpose, veracity, requester) -> None:
-    """Raise InvalidContent unless the arguments make a valid content action."""
-    if not target:
-        raise InvalidContent("content target must be non-empty")
-    if verb is _COLLECT and (owner is None or purpose is None):
-        raise InvalidContent("collect requires owner and purpose")
-    if verb is _POST and veracity is None:
-        raise InvalidContent("post requires a veracity flag")
-    if verb is _REVEAL and requester is None:
-        raise InvalidContent("reveal requires a requester")
-
-
 class ContentAction(Frozen):
     """Action a commitment pledges: a verb plus verb-specific arguments.
 
@@ -190,7 +177,14 @@ class ContentAction(Frozen):
 
     def __init__(self, verb, target, owner=None, purpose=None, veracity=None, requester=None,
                  payload=None):
-        _check_content(verb, target, owner, purpose, veracity, requester)
+        if not target:
+            raise InvalidContent("content target must be non-empty")
+        if verb is _COLLECT and (owner is None or purpose is None):
+            raise InvalidContent("collect requires owner and purpose")
+        if verb is _POST and veracity is None:
+            raise InvalidContent("post requires a veracity flag")
+        if verb is _REVEAL and requester is None:
+            raise InvalidContent("reveal requires a requester")
         put = object.__setattr__
         put(self, "verb", verb)
         put(self, "target", target)
@@ -207,7 +201,8 @@ class Commitment(Frozen):
     ``target_owner`` snapshots the owner of the target detail at
     submission time (None when the target is not a known detail); the
     compatibility rules use it to make sign-offs contend with everything
-    touching the leaving service's account.
+    touching the leaving service's account. Built only by
+    ``new_commitment``; calling the class with fields raises TypeError.
     """
 
     id: str
@@ -220,78 +215,6 @@ class Commitment(Frozen):
     priority: int
     arrival: int
     target_owner: str | None
-
-    def __init__(self, id, kind, responsibility, debtor, creditor, content, access, priority,
-                 arrival, target_owner=None):
-        put = object.__setattr__
-        put(self, "id", id)
-        put(self, "kind", kind)
-        put(self, "responsibility", responsibility)
-        put(self, "debtor", debtor)
-        put(self, "creditor", creditor)
-        put(self, "content", content)
-        put(self, "access", access)
-        put(self, "priority", priority)
-        put(self, "arrival", arrival)
-        put(self, "target_owner", target_owner)
-
-
-def _build(cls, fields: dict):
-    """Instance of the ``Frozen`` class ``cls`` whose attributes are ``fields``.
-
-    Does not run ``__init__`` or its checks: ``fields`` must name every
-    field, derived ones included, with values already validated.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _evolve(obj, **changes):
-    """Copy of the ``Frozen`` value ``obj`` with ``changes`` applied.
-
-    Equal to the value its constructor would give for the same fields,
-    but skips ``__init__`` and its checks: the instance dictionary is
-    copied as is, derived fields included, so a caller that changes a
-    field some derived field depends on must pass that one too. ``obj``
-    is never modified.
-    """
-    return _build(obj.__class__, {**obj.__dict__, **changes})
-
-
-def new_content(
-    verb: Verb,
-    target: str,
-    owner: str | None = None,
-    purpose: str | None = None,
-    veracity: bool | None = None,
-    requester: str | None = None,
-    payload: str | None = None,
-) -> ContentAction:
-    """The ``ContentAction`` its constructor would build, validated the same way.
-
-    The simulator builds one per submitted commitment, without the type
-    call and ``__init__`` frame of the constructor; when the constructor
-    was a dataclass's, that gave world-bulk 2-3% more commitments/s
-    (``BENCH_13.json``, ``builder_vs_constructor``). Filled field by
-    field, as the constructor fills it, not with ``_build``: on
-    CPython 3.11+ the attributes then stay inline in the instance, which
-    is smaller than one with its own instance dictionary, and the
-    scheduler reads ``content.target`` and ``content.verb`` of every
-    queued commitment it scans. Built by ``_build``, the scheduler's
-    slowest calls got slower (``BENCH_13.json``).
-    """
-    _check_content(verb, target, owner, purpose, veracity, requester)
-    obj = object.__new__(ContentAction)
-    put = object.__setattr__
-    put(obj, "verb", verb)
-    put(obj, "target", target)
-    put(obj, "owner", owner)
-    put(obj, "purpose", purpose)
-    put(obj, "veracity", veracity)
-    put(obj, "requester", requester)
-    put(obj, "payload", payload)
-    return obj
 
 
 def derive_access_class(content: ContentAction) -> AccessClass:
@@ -308,16 +231,20 @@ def derive_priority(
 
     ``privacy`` is that of the target detail, None when there is none.
     Private target details map to PRIORITY_PRIVATE, public ones (and
-    non-detail targets such as sign-off) to PRIORITY_PUBLIC. A detail
-    verb without a target detail raises UnknownDetail.
+    non-detail targets such as sign-off) to PRIORITY_PUBLIC. So does a
+    post without a target detail: it creates a public one. Any other
+    detail verb without a target detail raises UnknownDetail.
     """
     if explicit is not None:
         if explicit < 0:
             raise ValueError(f"priority must be >= 0, got {explicit}")
         return explicit
-    if content.verb not in DETAIL_VERBS:
+    verb = content.verb
+    if verb not in DETAIL_VERBS:
         return PRIORITY_PUBLIC
     if privacy is None:
+        if verb is _POST:
+            return PRIORITY_PUBLIC
         raise UnknownDetail(f"no detail {content.target!r} to derive priority from")
     return PRIORITY_PRIVATE if privacy is _PRIVATE else PRIORITY_PUBLIC
 
@@ -354,7 +281,8 @@ def new_commitment(
         raise InvalidContent(
             f"sign-off target must be the debtor ({debtor!r}), got {content.target!r}"
         )
-    return _build(Commitment, {
+    c = object.__new__(Commitment)
+    c.__dict__.update({
         "id": cid,
         "kind": kind,
         "responsibility": responsibility,
@@ -366,3 +294,4 @@ def new_commitment(
         "arrival": clock,
         "target_owner": target_owner,
     })
+    return c

@@ -1,23 +1,17 @@
-"""Compatibility of two commitments.
+"""Scope of two commitments.
 
 Two commitments contend only when they share a scope: the same content
 target, or a sign-off by the service that owns the other's target detail
 (leaving an account contends with everything still touching it). Within
-a scope the relation partitions into friend (both readers), family (both
-writers) and strange (mixed); only friends may run concurrently.
+a scope the paper's relation partitions the pairs into friend (both
+readers), family (both writers) and strange (mixed); only friends may
+run concurrently. The scheduler applies that rule through its access
+classes and calls ``same_scope`` for the scope.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .model import AccessClass, Commitment, Verb
-
-
-class Relation(Enum):
-    FRIEND = "friend"
-    FAMILY = "family"
-    STRANGE = "strange"
+from .model import Commitment, Verb
 
 
 def _signoff_touches(a: Commitment, b: Commitment) -> bool:
@@ -33,17 +27,3 @@ def same_scope(a: Commitment, b: Commitment) -> bool:
     if a.content.target == b.content.target:
         return True
     return _signoff_touches(a, b) or _signoff_touches(b, a)
-
-
-def classify(a: Commitment, b: Commitment) -> Relation:
-    """Three-way relation of two same-scope commitments. Symmetric."""
-    if a.access is AccessClass.READER and b.access is AccessClass.READER:
-        return Relation.FRIEND
-    if a.access is AccessClass.WRITER and b.access is AccessClass.WRITER:
-        return Relation.FAMILY
-    return Relation.STRANGE
-
-
-def conflicts(r: Relation) -> bool:
-    """Friends execute concurrently; family and strange pairs must wait."""
-    return r is not Relation.FRIEND

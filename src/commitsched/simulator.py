@@ -33,13 +33,12 @@ from .errors import EngineError, ScenarioRuntimeError
 from .model import (
     Commitment,
     CommitmentKind,
+    ContentAction,
     Frozen,
     LifecycleState,
     RESPONSIBILITY_FOR_VERB,
     Verb,
-    _build,
     new_commitment,
-    new_content,
 )
 from .scenario import COMMANDS, Command, Scenario
 from .scheduler import DecisionKind, MonitoringReport, Policy, Scheduler
@@ -165,13 +164,7 @@ class _Sim:
         self.world.with_finished_assignment(id, status)
 
     def _do_detail(self, key, owner, network, privacy, value) -> None:
-        self.world.with_detail(_build(Detail, {
-            "key": key,
-            "owner": owner,
-            "network": network,
-            "privacy": privacy,
-            "value": value,
-        }))
+        self.world.with_detail(Detail(key, owner, network, privacy, value))
 
     def _do_ttl(self, ticks: int) -> None:
         self.world.with_ttl(ticks)
@@ -219,7 +212,7 @@ class _Sim:
             return
 
         detail = None if verb is _SIGNOFF else self.world.details.get(target)
-        content = new_content(verb, target, owner, purpose, veracity, requester, payload)
+        content = ContentAction(verb, target, owner, purpose, veracity, requester, payload)
         creditor = detail.network if detail else self.world.member_networks(service)[0]
         commitment = new_commitment(
             cid,

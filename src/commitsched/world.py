@@ -50,7 +50,7 @@ from .errors import (
     UnknownNetwork,
     UnknownService,
 )
-from .model import Frozen, Privacy, Responsibility, _evolve
+from .model import Frozen, Privacy, Responsibility
 
 DEFAULT_REVEAL_TTL = 100
 
@@ -215,7 +215,7 @@ class WorldState:
             raise IllegalStatusChange(
                 f"assignment {assignment_id!r} already {current.status.value}"
             )
-        self.assignments[assignment_id] = _evolve(current, status=outcome)
+        self.assignments[assignment_id] = Assignment(assignment_id, current.service, outcome)
         del self.ongoing[current.service][assignment_id]
 
     def with_ttl(self, ticks: int) -> None:
@@ -279,7 +279,7 @@ def exec_post(
         return Violation(_RESP2, "poster-not-member")
     new_value = value if value is not None else f"{poster}@t{t}"
     if d is not None:
-        return _evolve(d, value=new_value)
+        return Detail(d.key, d.owner, d.network, d.privacy, new_value)
     return Detail(detail_key, poster, net, _PUBLIC, new_value)
 
 

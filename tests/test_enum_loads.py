@@ -32,7 +32,7 @@ PER_CALL = (
     scheduler.Scheduler.on_complete,
     scheduler.Scheduler.on_violation,
     scheduler.Scheduler._retire,
-    model._check_content,
+    model.ContentAction.__init__,
     model.new_commitment,
     model.derive_priority,
     simulator._Sim._do_submit,
@@ -40,6 +40,7 @@ PER_CALL = (
     simulator._Sim._process_activations,
     simulator._Sim._execute,
     scenario._parse_submit,
+    world.Detail.__init__,
     world.exec_collect,
     world.exec_post,
     world.exec_tamper_guard,

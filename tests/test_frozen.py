@@ -11,7 +11,6 @@ import pytest
 
 import commitsched
 from commitsched.model import (
-    AccessClass,
     Commitment,
     CommitmentKind,
     ContentAction,
@@ -20,8 +19,7 @@ from commitsched.model import (
     Privacy,
     Responsibility,
     Verb,
-    _build,
-    _evolve,
+    new_commitment,
 )
 from commitsched.oracle import MiniCommitment
 from commitsched.scenario import Command, Scenario
@@ -39,10 +37,10 @@ EXAMPLES = {
         "purpose='analytics', veracity=None, requester=None, payload=None)",
     ),
     Commitment: (
-        lambda: Commitment(
+        lambda: new_commitment(
             "c1", CommitmentKind.SOCIAL, Responsibility.RESP2, "svcA", "fb",
             ContentAction(Verb.POST, "video", veracity=True, payload="v2"),
-            AccessClass.WRITER, 10, 3,
+            explicit_priority=10, clock=3,
         ),
         "Commitment(id='c1', kind=<CommitmentKind.SOCIAL: 'social'>, "
         "responsibility=<Responsibility.RESP2: 'resp2'>, debtor='svcA', creditor='fb', "
@@ -96,6 +94,16 @@ EXAMPLES[RunResult] = (
     f"world={_WORLD!r}, scheduler={_SCHEDULER!r})",
 )
 
+def _replaced(value, cls=None, /, **changes):
+    """Copy of ``value`` as a ``cls`` (default: its own class) with ``changes`` applied.
+
+    Built without ``__init__``, so a field may hold any value.
+    """
+    obj = object.__new__(cls or value.__class__)
+    obj.__dict__.update({**vars(value), **changes})
+    return obj
+
+
 value_classes = pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
 
 
@@ -125,12 +133,12 @@ def test_equal_only_within_one_class(cls):
     assert value is not twin and value == twin and not value != twin
     # Every field takes part in equality.
     for name in cls._fields:
-        other = _evolve(value, **{name: object()})
+        other = _replaced(value, **{name: object()})
         assert value != other and other != value
     # Neither the field tuple nor a class with the same name and fields is equal.
     assert value != astuple(value)
     lookalike_cls = type(cls.__name__, (Frozen,), {"__annotations__": dict.fromkeys(cls._fields)})
-    lookalike = _build(lookalike_cls, vars(value))
+    lookalike = _replaced(value, lookalike_cls)
     assert repr(lookalike) == repr(value)
     assert value != lookalike and lookalike != value
 
@@ -159,6 +167,15 @@ def test_fields_can_be_neither_set_nor_deleted(cls):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert vars(value) == before
+
+
+def test_commitment_has_no_constructor():
+    """``new_commitment`` is the one builder of a commitment."""
+    make, _ = EXAMPLES[Commitment]
+    with pytest.raises(TypeError):
+        Commitment(*astuple(make()))
+    with pytest.raises(TypeError):
+        Commitment(**vars(make()))
 
 
 def test_wait_decision_must_name_its_blockers():

@@ -79,6 +79,14 @@ def test_priority_unknown_detail():
         derive_priority(_content(Verb.COLLECT, "ghost"), None, None)
 
 
+def test_priority_post_to_a_fresh_key_is_public():
+    """A post without a target detail creates a public one; no other verb may lack one."""
+    assert derive_priority(_content(Verb.POST, "fresh"), None, None) == 0
+    for verb in (Verb.COLLECT, Verb.TAMPER, Verb.REVEAL):
+        with pytest.raises(UnknownDetail):
+            derive_priority(_content(verb, "fresh"), None, None)
+
+
 def test_priority_rejects_negative():
     with pytest.raises(ValueError):
         derive_priority(_content(Verb.POST), -1)

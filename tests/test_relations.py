@@ -1,60 +1,12 @@
-"""Friend/family/strange classification and scope contention."""
+"""Scope contention: which commitments touch the same resource."""
 
 from __future__ import annotations
 
-import itertools
-
-import pytest
-
 from commitsched.model import AccessClass, Verb
-from commitsched.relations import Relation, classify, conflicts, same_scope
+from commitsched.relations import same_scope
 
 from conftest import make_commitment
 
-
-@pytest.mark.parametrize(
-    "a_access,b_access,expected",
-    [
-        (AccessClass.READER, AccessClass.READER, Relation.FRIEND),
-        (AccessClass.WRITER, AccessClass.WRITER, Relation.FAMILY),
-        (AccessClass.READER, AccessClass.WRITER, Relation.STRANGE),
-        (AccessClass.WRITER, AccessClass.READER, Relation.STRANGE),
-    ],
-)
-def test_classify_matrix(a_access, b_access, expected):
-    a = make_commitment("a", a_access)
-    b = make_commitment("b", b_access)
-    assert classify(a, b) is expected
-
-
-def test_classify_symmetric():
-    for a_access, b_access in itertools.product(AccessClass, repeat=2):
-        a = make_commitment("a", a_access)
-        b = make_commitment("b", b_access)
-        assert classify(a, b) is classify(b, a)
-
-
-@pytest.mark.parametrize(
-    "relation,expected",
-    [
-        (Relation.FRIEND, False),
-        (Relation.FAMILY, True),
-        (Relation.STRANGE, True),
-    ],
-)
-def test_conflicts_table(relation, expected):
-    assert conflicts(relation) is expected
-
-
-def test_conflict_equals_readers_writer_semantics():
-    for a_access, b_access in itertools.product(AccessClass, repeat=2):
-        a = make_commitment("a", a_access)
-        b = make_commitment("b", b_access)
-        writer_involved = AccessClass.WRITER in (a_access, b_access)
-        assert conflicts(classify(a, b)) == writer_involved
-
-
-# -- scope ---------------------------------------------------------------
 
 def test_same_target_shares_scope():
     a = make_commitment("a", AccessClass.READER, target="email")

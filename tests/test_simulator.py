@@ -7,6 +7,7 @@ import copy
 import pytest
 
 from commitsched.errors import AlreadyMember, ScenarioRuntimeError, UnknownNetwork
+from commitsched.model import Privacy
 from commitsched.scenario import COMMANDS, Command, Scenario, parse
 from commitsched.scheduler import Policy
 from commitsched.scenarios import load_text
@@ -341,6 +342,23 @@ def test_post_with_explicit_priority_may_create_detail():
     assert result.world.details["story"].value == "v0"
     assert result.world.details["story"].owner == "alpha"
     assert result.world.details["story"].network == "fb"
+
+
+def test_post_to_a_fresh_key_creates_a_public_detail():
+    text = (
+        "network zeta\nnetwork alpha\npurpose alpha use\n"
+        "signup poster zeta accept\nsignup poster alpha accept\n"
+        "submit p1 poster post fresh true\ntick\ncomplete p1\n"
+        "submit c1 poster collect fresh poster use\ntick\ncomplete c1\n"
+    )
+    result = _run_text(text)
+    assert result.trace.ok
+    lines = result.trace.lines()
+    assert "t=0 Submitted p1 service=poster verb=post target=fresh access=writer prio=0" in lines
+    assert "t=1 Submitted c1 service=poster verb=collect target=fresh access=reader prio=0" in lines
+    detail = result.world.details["fresh"]
+    # Created in the poster's first network by name, where the collect's purpose is valid.
+    assert (detail.privacy, detail.owner, detail.network) == (Privacy.PUBLIC, "poster", "alpha")
 
 
 # -- determinism and monitoring --------------------------------------------------------------

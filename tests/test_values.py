@@ -1,4 +1,4 @@
-"""Value types built without ``__init__`` behave like constructed ones."""
+"""Value types: the fields ``new_commitment`` derives, events, hot enums, content."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from commitsched import model
 from commitsched.errors import InvalidContent
 from commitsched.model import (
     ACCESS_FOR_VERB,
@@ -20,7 +19,6 @@ from commitsched.model import (
     RESPONSIBILITY_FOR_VERB,
     Verb,
     new_commitment,
-    new_content,
 )
 from commitsched.scenario import parse
 from commitsched.simulator import run
@@ -33,7 +31,7 @@ tokens = st.text(alphabet="abc=, .", max_size=6)
 
 
 def _assert_indistinguishable(built, constructed) -> None:
-    """``built``, made without ``__init__``, is the value its constructor gives."""
+    """``built``, made by the run path, is the value ``constructed`` in every visible way."""
     assert type(built) is type(constructed)
     assert built == constructed and constructed == built
     assert hash(built) == hash(constructed)
@@ -83,7 +81,7 @@ def commitment_args(draw) -> dict:
 
 
 @given(args=commitment_args())
-def test_new_commitment_equals_the_constructed_value(args):
+def test_new_commitment_derives_access_and_priority(args):
     content = args["content"]
     privacy = args["privacy"]
     built = new_commitment(
@@ -104,19 +102,20 @@ def test_new_commitment_equals_the_constructed_value(args):
         priority = 10
     else:
         priority = 0
-    constructed = Commitment(
-        id=args["cid"],
-        kind=args["kind"],
-        responsibility=RESPONSIBILITY_FOR_VERB[content.verb],
-        debtor=args["debtor"],
-        creditor=args["creditor"],
-        content=content,
-        access=ACCESS_FOR_VERB[content.verb],
-        priority=priority,
-        arrival=args["clock"],
-        target_owner=args["target_owner"],
-    )
-    _assert_indistinguishable(built, constructed)
+    assert type(built) is Commitment
+    # The instance dictionary holds every field, in field order, and nothing else.
+    assert list(vars(built).items()) == [
+        ("id", args["cid"]),
+        ("kind", args["kind"]),
+        ("responsibility", RESPONSIBILITY_FOR_VERB[content.verb]),
+        ("debtor", args["debtor"]),
+        ("creditor", args["creditor"]),
+        ("content", content),
+        ("access", ACCESS_FOR_VERB[content.verb]),
+        ("priority", priority),
+        ("arrival", args["clock"]),
+        ("target_owner", args["target_owner"]),
+    ]
 
 
 attrs = st.lists(st.tuples(names, tokens), max_size=4).map(tuple)
@@ -190,7 +189,7 @@ def test_hot_enum_members_hash_by_identity(a, b):
     assert {a: 1}.get(b) == (1 if a is b else None)
 
 
-# -- ContentAction and Detail built without __init__ ---------------------------
+# -- the content rule and the world's values ------------------------------------
 
 REQUIRED = {
     Verb.COLLECT: ("owner", "purpose"),
@@ -200,33 +199,6 @@ REQUIRED = {
     Verb.REVEAL: ("requester",),
 }
 FILLED = {"owner": "o", "purpose": "p", "veracity": True, "requester": "r"}
-
-
-@st.composite
-def content_args(draw) -> dict:
-    """Valid keyword arguments of ``ContentAction``, optional fields drawn too."""
-    verb = draw(st.sampled_from(list(Verb)))
-    args = {
-        "verb": verb,
-        "target": draw(names),
-        "owner": draw(st.none() | names),
-        "purpose": draw(st.none() | names),
-        "veracity": draw(st.none() | st.booleans()),
-        "requester": draw(st.none() | names),
-        "payload": draw(st.none() | names),
-    }
-    for name in REQUIRED[verb]:
-        if args[name] is None:
-            args[name] = draw(st.booleans() if name == "veracity" else names)
-    return args
-
-
-@given(args=content_args())
-def test_new_content_equals_the_constructed_value(args):
-    constructed = ContentAction(**args)
-    _assert_indistinguishable(new_content(**args), constructed)
-    # The simulator passes the fields by position, in field order.
-    _assert_indistinguishable(new_content(*astuple(constructed)), constructed)
 
 
 def _malformed():
@@ -239,27 +211,9 @@ def _malformed():
 
 
 @pytest.mark.parametrize("verb,target,kwargs", list(_malformed()))
-def test_constructor_and_builder_reject_alike(verb, target, kwargs):
-    with pytest.raises(InvalidContent) as by_constructor:
+def test_constructor_rejects_malformed_content(verb, target, kwargs):
+    with pytest.raises(InvalidContent):
         ContentAction(verb, target, **kwargs)
-    with pytest.raises(InvalidContent) as by_builder:
-        new_content(verb, target, **kwargs)
-    assert type(by_builder.value) is type(by_constructor.value)
-    assert str(by_builder.value) == str(by_constructor.value)
-
-
-def test_constructor_and_builder_share_one_content_check(monkeypatch):
-    seen = []
-
-    def check(*args):
-        seen.append(args)
-        raise InvalidContent("checked")
-
-    monkeypatch.setattr(model, "_check_content", check)
-    for build in (ContentAction, new_content):
-        with pytest.raises(InvalidContent, match="checked"):
-            build(Verb.POST, "d", veracity=True)
-    assert seen == [(Verb.POST, "d", None, None, True, None)] * 2
 
 
 @given(owner=names, poster=names, key=names, value=names, new_value=names,
