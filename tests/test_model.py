@@ -80,11 +80,19 @@ def test_priority_unknown_detail():
 
 
 def test_priority_post_to_a_fresh_key_is_public():
-    """A post without a target detail creates a public one; no other verb may lack one."""
+    """A post without a target detail creates a public one."""
     assert derive_priority(_content(Verb.POST, "fresh"), None, None) == 0
-    for verb in (Verb.COLLECT, Verb.TAMPER, Verb.REVEAL):
-        with pytest.raises(UnknownDetail):
-            derive_priority(_content(verb, "fresh"), None, None)
+
+
+def test_priority_explicit_override_on_a_fresh_key():
+    assert derive_priority(_content(Verb.POST, "fresh"), 4, None) == 4
+
+
+@pytest.mark.parametrize("verb", [Verb.COLLECT, Verb.TAMPER, Verb.REVEAL], ids=lambda v: v.value)
+def test_priority_other_verbs_need_a_target_detail(verb):
+    """Only a post may lack its target detail."""
+    with pytest.raises(UnknownDetail, match="no detail 'fresh'"):
+        derive_priority(_content(verb, "fresh"), None, None)
 
 
 def test_priority_rejects_negative():

@@ -336,6 +336,13 @@ def test_unknown_detail_at_submission():
         _run_text(text)
 
 
+@pytest.mark.parametrize("args", ["tamper ghost v", "reveal ghost beta"], ids=["tamper", "reveal"])
+def test_tamper_or_reveal_of_unknown_detail_at_submission(args):
+    text = PREAMBLE + f"submit c1 alpha {args}\n"
+    with pytest.raises(ScenarioRuntimeError, match="no detail 'ghost'"):
+        _run_text(text)
+
+
 def test_post_with_explicit_priority_may_create_detail():
     text = PREAMBLE + "submit c1 alpha post story true v0 prio=2\ntick\ncomplete c1\n"
     result = _run_text(text)
@@ -359,6 +366,21 @@ def test_post_to_a_fresh_key_creates_a_public_detail():
     detail = result.world.details["fresh"]
     # Created in the poster's first network by name, where the collect's purpose is valid.
     assert (detail.privacy, detail.owner, detail.network) == (Privacy.PUBLIC, "poster", "alpha")
+
+
+def test_later_post_to_a_created_detail_ranks_public():
+    """The detail a fresh-key post creates is public, so the next post derives prio=0 from it."""
+    text = PREAMBLE + (
+        "submit p1 alpha post fresh true v1\ntick\ncomplete p1\n"
+        "submit p2 beta post fresh true v2\ntick\ncomplete p2\n"
+    )
+    result = _run_text(text)
+    assert result.trace.ok
+    assert "t=1 Submitted p2 service=beta verb=post target=fresh access=writer prio=0" in (
+        result.trace.lines()
+    )
+    detail = result.world.details["fresh"]
+    assert (detail.owner, detail.privacy, detail.value) == ("alpha", Privacy.PUBLIC, "v2")
 
 
 # -- determinism and monitoring --------------------------------------------------------------

@@ -23,7 +23,7 @@ from commitsched.model import (
 from commitsched.scenario import parse
 from commitsched.simulator import run
 from commitsched.trace import EventKind, ScheduleEvent, parse_event
-from commitsched.world import Detail, WorldState, exec_post
+from commitsched.world import Assignment, AssignmentStatus, Detail, WorldState, exec_post
 from conftest import astuple
 
 names = st.text(alphabet="abcxyz019-", min_size=1, max_size=6)
@@ -201,6 +201,34 @@ REQUIRED = {
 FILLED = {"owner": "o", "purpose": "p", "veracity": True, "requester": "r"}
 
 
+@st.composite
+def content_args(draw) -> dict:
+    """Valid keyword arguments of ``ContentAction``, optional fields drawn too."""
+    verb = draw(st.sampled_from(list(Verb)))
+    args = {
+        "verb": verb,
+        "target": draw(names),
+        "owner": draw(st.none() | names),
+        "purpose": draw(st.none() | names),
+        "veracity": draw(st.none() | st.booleans()),
+        "requester": draw(st.none() | names),
+        "payload": draw(st.none() | names),
+    }
+    for name in REQUIRED[verb]:
+        if args[name] is None:
+            args[name] = draw(st.booleans() if name == "veracity" else names)
+    return args
+
+
+@given(args=content_args())
+def test_constructor_accepts_valid_content(args):
+    value = ContentAction(**args)
+    # The instance dictionary holds every field, in field order, and nothing else.
+    assert list(vars(value).items()) == list(args.items())
+    # The simulator passes the fields by position, in field order.
+    _assert_indistinguishable(ContentAction(*args.values()), value)
+
+
 def _malformed():
     for verb, required in REQUIRED.items():
         valid = {name: FILLED[name] for name in required}
@@ -238,3 +266,14 @@ def test_detail_command_equals_the_constructed_value(owner, key, value, privacy)
     )
     built = run(parse(text)).world.details[key]
     _assert_indistinguishable(built, Detail(key, owner, "n", privacy, value))
+
+
+@given(aid=names, service=names,
+       outcome=st.sampled_from([AssignmentStatus.COMPLETE, AssignmentStatus.FAILED]))
+def test_finished_assignment_equals_the_constructed_value(aid, service, outcome):
+    w = WorldState()
+    w.with_network("n")
+    w.with_member(service, "n")
+    w.with_assignment(Assignment(aid, service))
+    w.with_finished_assignment(aid, outcome)
+    _assert_indistinguishable(w.assignment(aid), Assignment(aid, service, outcome))
