@@ -15,8 +15,8 @@ but ``Commitment`` is built by its constructor, a plain ``__init__``
 that sets each field. ``new_commitment`` is the one builder of a
 commitment: it validates its arguments, derives the access class and
 priority, and fills a fresh instance dictionary in one step.
-``Commitment`` has no constructor of its own, so no caller can give a
-commitment an access class or a priority that contradicts its verb.
+Calling ``Commitment`` raises, so no caller can give a commitment an
+access class or a priority that contradicts its verb.
 A commitment carries no lifecycle state: ``LifecycleState`` only names
 the states, and the scheduler keeps them as where each id lives
 (active, queued, or tallied under its final state). So a commitment is
@@ -129,7 +129,7 @@ class Frozen:
     ``Name(field=value, ...)``: all three as a frozen dataclass makes
     them. Setting or deleting an attribute raises ``AttributeError``, so
     a subclass ``__init__`` sets each field with ``object.__setattr__``.
-    ``Commitment`` has no ``__init__``: ``new_commitment`` is its one
+    ``Commitment.__init__`` only raises: ``new_commitment`` is its one
     builder, and fills the instance dictionary itself.
     """
 
@@ -202,7 +202,7 @@ class Commitment(Frozen):
     submission time (None when the target is not a known detail); the
     compatibility rules use it to make sign-offs contend with everything
     touching the leaving service's account. Built only by
-    ``new_commitment``; calling the class with fields raises TypeError.
+    ``new_commitment``; calling the class raises TypeError.
     """
 
     id: str
@@ -215,6 +215,9 @@ class Commitment(Frozen):
     priority: int
     arrival: int
     target_owner: str | None
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Commitment has no constructor: build one with new_commitment")
 
 
 def derive_access_class(content: ContentAction) -> AccessClass:

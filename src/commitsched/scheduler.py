@@ -292,8 +292,8 @@ class Scheduler:
         return self._retire(cid, _VIOLATED)
 
     def set_policy(self, policy: Policy) -> None:
-        """Switch the service policy; only legal while the queue is empty."""
-        if self._queue:
+        """Switch the service policy; a change is legal only while the queue is empty."""
+        if self._queue and policy is not self.policy:
             raise NonEmptyQueue("cannot switch policy with queued commitments")
         self.policy = policy
 

@@ -5,8 +5,8 @@ authority gate registers services, ``submit`` commands build commitments
 and push them through the scheduler, activation executes the governance
 action immediately, and a responsibility breach retires the commitment
 as Violated (releasing its scope like any completion). The run owns the
-world store and the scheduler: it applies the write each governance
-check returns, and nothing after a breach.
+world store and the scheduler; a governance check that passes writes the
+world itself, and a breach writes nothing.
 
 The clock advances only on ``tick`` commands, so commands in between
 share a time slice; same-tick submissions are linearized in file order.
@@ -265,25 +265,19 @@ class _Sim:
     def _execute(self, c: Commitment) -> Violation | None:
         verb = c.content.verb
         if verb is _COLLECT:
-            target = c.content.target
-            violation = exec_collect(self.world, c.debtor, target, c.content.purpose, self.clock)
-            if violation is None:
-                self.world.with_collection(target, self.clock)
-            return violation
+            return exec_collect(
+                self.world, c.debtor, c.content.target, c.content.purpose, self.clock
+            )
         if verb is _POST:
             return self._write(c, veracity=bool(c.content.veracity))
         if verb is _TAMPER:
-            violation = exec_tamper_guard(self.world, c.content.target)
-            if violation is None:
-                # Nothing was ever collected: the attempt degrades to an
-                # ordinary write and answers to resp2 instead.
-                return self._write(c, veracity=True)
-            return violation
+            # A tamper on a detail nobody collected degrades to an
+            # ordinary write and answers to resp2 instead.
+            return exec_tamper_guard(self.world, c.content.target) or self._write(c, True)
         if verb is _SIGNOFF:
             result = exec_signoff(self.world, c.debtor)
             if isinstance(result, Violation):
                 return result
-            self.world.without_memberships(c.debtor)
             self.emit(_SIGNEDOFF, c.debtor, ("network", ",".join(result)))
             return None
         if verb is _REVEAL:
@@ -292,8 +286,7 @@ class _Sim:
         raise AssertionError(f"unhandled verb {verb}")
 
     def _write(self, c: Commitment, veracity: bool) -> Violation | None:
-        detail = self.world.details.get(c.content.target)
-        result = exec_post(
+        return exec_post(
             self.world,
             c.debtor,
             c.content.target,
@@ -302,13 +295,6 @@ class _Sim:
             network=c.creditor,
             value=c.content.payload,
         )
-        if isinstance(result, Violation):
-            return result
-        if detail is None:
-            self.world.with_detail(result)
-        else:
-            self.world.with_detail_value(result)
-        return None
 
 
 # Scenario command -> the ``_Sim`` method that runs it. Only the methods

@@ -6,14 +6,12 @@ collected detail, and work assignments: only what a check reads. It is
 one mutable store with a single owner, the simulator, as the scheduler
 is: no caller reads an older state, so no write copies one.
 
-The ``exec_*`` checks are pure. Each reads the store and returns a
-``Violation`` naming the breached responsibility, the write it wants,
-or ``None``. The owner applies a wanted write with one
-``with_*``/``without_*`` call. ``None`` carries no value: a collect
-that passed (the owner writes its approval with ``with_collection``),
-or a tamper on a detail nobody collected (the owner runs it as a post).
-A violation never changes the world. ``register`` in the simulator
-likewise validates a signup before it writes anything.
+Each ``exec_*`` check reads the store. A passed collect, post or
+sign-off applies its own write with one ``with_*``/``without_*`` call;
+a breach returns a ``Violation`` naming the responsibility and writes
+nothing. The tamper guard and the reveal never write: the owner runs a
+tamper on a detail nobody collected as a post. ``register`` in the
+simulator likewise validates a signup before it writes anything.
 
 Three of the store's maps are indexes, each updated by the write that
 changes what it is derived from, so every write and every check is O(1)
@@ -238,8 +236,7 @@ def exec_collect(
 ) -> Violation | None:
     """Collect a detail: needs a valid purpose and network membership (resp1).
 
-    Returns None when the collect is approved: write the approval with
-    ``with_collection(detail_key, t)``.
+    An approved collect records its approval at tick ``t`` and returns None.
     """
     d = w.details.get(detail_key)
     if d is None:
@@ -248,6 +245,7 @@ def exec_collect(
         return Violation(_RESP1, "invalid-purpose")
     if not w.is_member(collector, d.network):
         return Violation(_RESP1, "collector-not-member")
+    w.with_collection(detail_key, t)
     return None
 
 
@@ -260,14 +258,13 @@ def exec_post(
     *,
     network: str | None = None,
     value: str | None = None,
-) -> Detail | Violation:
+) -> Violation | None:
     """Post a detail: content must be true and the poster a member (resp2).
 
-    Returns the detail as the post leaves it. Posting an existing detail
-    updates its value (the scheduler serializes writers, so
-    last-writer-wins is safe): write it with ``with_detail_value``.
-    Posting a fresh key creates a public detail owned by the poster in
-    ``network``: write it with ``with_detail``.
+    A passed post stores the detail and returns None. Posting an existing
+    detail replaces its value (the scheduler serializes writers, so
+    last-writer-wins is safe). Posting a fresh key creates a public
+    detail owned by the poster in ``network``.
     """
     d = w.details.get(detail_key)
     net = d.network if d is not None else network
@@ -279,8 +276,10 @@ def exec_post(
         return Violation(_RESP2, "poster-not-member")
     new_value = value if value is not None else f"{poster}@t{t}"
     if d is not None:
-        return Detail(d.key, d.owner, d.network, d.privacy, new_value)
-    return Detail(detail_key, poster, net, _PUBLIC, new_value)
+        w.with_detail_value(Detail(d.key, d.owner, d.network, d.privacy, new_value))
+    else:
+        w.with_detail(Detail(detail_key, poster, net, _PUBLIC, new_value))
+    return None
 
 
 def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation | None:
@@ -301,8 +300,8 @@ def exec_signoff(w: WorldState, service: str) -> tuple[str, ...] | Violation:
     """Sign a service off its networks; blocked by ongoing assignments (resp4).
 
     Complete and failed assignments are both terminal and do not block.
-    Returns the networks the service leaves: write the sign-off with
-    ``without_memberships``.
+    A passed sign-off drops every membership of the service and returns
+    the networks it left.
     """
     networks = w.member_networks(service)
     if not networks:
@@ -310,6 +309,7 @@ def exec_signoff(w: WorldState, service: str) -> tuple[str, ...] | Violation:
     ongoing = w.ongoing_assignments(service)
     if ongoing:
         return Violation(_RESP4, "ongoing-assignments", items=ongoing)
+    w.without_memberships(service)
     return networks
 
 

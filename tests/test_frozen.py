@@ -176,6 +176,8 @@ def test_commitment_has_no_constructor():
         Commitment(*astuple(make()))
     with pytest.raises(TypeError):
         Commitment(**vars(make()))
+    with pytest.raises(TypeError, match="new_commitment"):
+        Commitment()
 
 
 def test_wait_decision_must_name_its_blockers():

@@ -325,6 +325,14 @@ def test_set_policy_blocked_by_queue():
         s.set_policy(Policy.PRIORITY)
 
 
+def test_restating_the_policy_with_a_queue_changes_nothing():
+    s = _loaded(Policy.FCFS, ("c2", W, 0))
+    before = s.snapshot()
+    s.set_policy(Policy.FCFS)
+    assert s.policy is Policy.FCFS
+    assert s.snapshot() == before
+
+
 # -- snapshot --------------------------------------------------------------------
 
 def test_snapshot_empty():

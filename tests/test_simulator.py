@@ -137,6 +137,21 @@ def test_policy_override_wins():
     assert result.scheduler.policy is Policy.FCFS
 
 
+def test_restating_the_policy_with_a_queue_is_allowed():
+    text = (
+        "network fb\npurpose fb analytics\nsignup a fb accept\nsignup b fb accept\n"
+        "detail d a fb public v0\nsubmit w1 a post d true\nsubmit w2 b post d true\n"
+        "policy fcfs\n"
+    )
+    result = _run_text(text)
+    assert result.scheduler.policy is Policy.FCFS
+    assert "t=0 Waiting w2 service=b blockers=w1" in result.trace.lines()
+    with pytest.raises(ScenarioRuntimeError) as err:  # a change of policy still waits
+        _run_text(text.replace("policy fcfs", "policy priority"))
+    assert err.value.line == 8
+    assert "cannot switch policy with queued commitments" in str(err.value)
+
+
 # -- clock ------------------------------------------------------------------------
 
 def test_clock_advances_only_on_tick():
@@ -262,6 +277,65 @@ def test_signoff_waits_for_writes_on_owned_details():
     assert "t=1 Waiting s1 service=owner blockers=w1" in lines
     assert "t=2 Activated s1 service=owner" in lines
     assert "t=2 SignedOff owner network=fb" in lines
+
+
+# -- store writes ----------------------------------------------------------------------
+
+def _record_store_writes(monkeypatch) -> list[str]:
+    """The names of the ``WorldState`` writes made from now on, in call order."""
+    calls: list[str] = []
+
+    def recorded(name, write):
+        def call(*args):
+            calls.append(name)
+            return write(*args)
+
+        return call
+
+    for name, write in list(vars(WorldState).items()):
+        if name.startswith(("with_", "without_")):
+            monkeypatch.setattr(WorldState, name, recorded(name, write))
+    return calls
+
+
+def test_each_passed_action_makes_one_store_write(monkeypatch):
+    setup = PREAMBLE + (
+        "detail note owner fb public n0\n"
+        "detail vault owner fb private s0\n"
+        "signup gamma fb accept\n"
+        "assignment a1 beta\n"
+    )
+    actions = (
+        "submit c1 alpha collect wall owner analytics\ncomplete c1\n"
+        "submit p1 alpha post wall true v1\ncomplete p1\n"
+        "submit p2 alpha post story true v2\ncomplete p2\n"
+        "submit t1 beta tamper note forged\ncomplete t1\n"  # note was never collected
+        "submit s1 gamma signoff gamma\ncomplete s1\n"
+        "submit r1 beta reveal wall alpha\ncomplete r1\n"
+        "submit x1 alpha collect wall owner spam\n"
+        "submit x2 alpha post wall false lie\n"
+        "submit x3 beta tamper wall forged\n"
+        "submit x4 beta signoff beta\n"
+        "submit x5 alpha reveal vault outsider\n"
+    )
+    calls = _record_store_writes(monkeypatch)
+    run(parse(setup))
+    setup_writes = len(calls)
+    calls.clear()
+    result = run(parse(setup + actions))
+    assert calls[setup_writes:] == [
+        "with_collection",
+        "with_detail_value",
+        "with_detail",
+        "with_detail_value",
+        "without_memberships",
+    ]
+    violations = [
+        (e.subject, dict(e.attrs)["resp"])
+        for e in result.trace.events
+        if e.kind is EventKind.VIOLATION
+    ]
+    assert violations == [(f"x{i}", f"resp{i}") for i in range(1, 6)]
 
 
 # -- assignment commands -----------------------------------------------------------------

@@ -254,8 +254,8 @@ def test_exec_post_update_equals_the_constructed_value(owner, poster, key, value
     if poster != owner:
         w.with_member(poster, "n")
     w.with_detail(Detail(key, owner, "n", privacy, value))
-    updated = exec_post(w, poster, key, True, t, value=new_value)
-    _assert_indistinguishable(updated, Detail(key, owner, "n", privacy, new_value))
+    assert exec_post(w, poster, key, True, t, value=new_value) is None
+    _assert_indistinguishable(w.details[key], Detail(key, owner, "n", privacy, new_value))
 
 
 @given(owner=names, key=names, value=names, privacy=st.sampled_from(list(Privacy)))

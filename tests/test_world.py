@@ -56,8 +56,6 @@ def test_valid_unknown_network(small_world):
 def test_collect_appends_record(small_world):
     detail = small_world.details["email"]
     assert exec_collect(small_world, "svcB", "email", "analytics", t=3) is None
-    assert small_world.latest_approval == {}  # the check writes nothing
-    small_world.with_collection("email", 3)
     assert small_world.latest_approval == {"email": 3}
     assert small_world.details["email"] is detail  # a collect leaves the detail alone
 
@@ -83,10 +81,7 @@ def test_collect_unknown_detail(small_world):
 # -- post --------------------------------------------------------------------
 
 def test_post_updates_value(small_world):
-    d = exec_post(small_world, "svcB", "email", True, t=2, value="addr1")
-    assert not isinstance(d, Violation)
-    assert small_world.details["email"].value == "addr0"  # the check writes nothing
-    small_world.with_detail_value(d)
+    assert exec_post(small_world, "svcB", "email", True, t=2, value="addr1") is None
     assert small_world.details["email"].value == "addr1"
     assert small_world.details["email"].owner == "svcA"  # ownership survives updates
 
@@ -102,17 +97,16 @@ def test_post_nonmember_is_violation(small_world):
 
 
 def test_post_creates_detail(small_world):
-    d = exec_post(small_world, "svcB", "story", True, t=4, network="fb", value="v0")
-    assert not isinstance(d, Violation)
+    assert exec_post(small_world, "svcB", "story", True, t=4, network="fb", value="v0") is None
+    d = small_world.details["story"]
     assert (d.key, d.owner, d.network, d.privacy, d.value) == (
         "story", "svcB", "fb", Privacy.PUBLIC, "v0"
     )
-    small_world.with_detail(d)
-    assert small_world.details["story"] is d
 
 
 def test_post_default_value_token(small_world):
-    assert exec_post(small_world, "svcB", "email", True, t=7).value == "svcB@t7"
+    assert exec_post(small_world, "svcB", "email", True, t=7) is None
+    assert small_world.details["email"].value == "svcB@t7"
 
 
 def test_post_without_network_for_fresh_key(small_world):
@@ -124,7 +118,6 @@ def test_post_without_network_for_fresh_key(small_world):
 
 def _with_record(w: WorldState, t: int = 0) -> WorldState:
     assert exec_collect(w, "svcB", "email", "analytics", t=t) is None
-    w.with_collection("email", t)
     return w
 
 
@@ -153,7 +146,7 @@ def test_repeated_tampers_leave_snapshot_alone(small_world):
 
 def test_snapshot_survives_later_posts(small_world):
     w = _with_record(small_world)
-    w.with_detail_value(exec_post(w, "svcB", "email", True, t=1, value="changed"))
+    assert exec_post(w, "svcB", "email", True, t=1, value="changed") is None
     assert w.details["email"].value == "changed"
     assert w.latest_approval == {"email": 0}  # a post neither adds nor drops an approval
     assert exec_tamper_guard(w, "email") == Violation(
@@ -170,8 +163,6 @@ def test_signoff_with_terminal_assignments(small_world):
     w.with_assignment(Assignment("a2", "svcB"))
     w.with_finished_assignment("a2", AssignmentStatus.FAILED)
     assert exec_signoff(w, "svcB") == ("fb",)
-    assert w.has_any_membership("svcB")  # the check writes nothing
-    w.without_memberships("svcB")
     assert not w.has_any_membership("svcB")
     assert not w.is_member("svcB", "fb")
 
@@ -377,7 +368,7 @@ _steps = st.one_of(
 
 
 def _apply(w: WorldState, step):
-    """Run one step on ``w``, applying the write of a passed check as the simulator does.
+    """Run one step on ``w``; a passed check applies its own write.
 
     Returns the check's result (a ``Violation``, a reveal's value, ...) or None.
     """
@@ -396,25 +387,14 @@ def _apply(w: WorldState, step):
     if op == "finish":
         return w.with_finished_assignment(*args)
     if op == "collect":
-        _, key, _, t = args
-        result = exec_collect(w, *args)
-        if result is None:
-            w.with_collection(key, t)
-        return result
+        return exec_collect(w, *args)
     if op == "post":
         poster, key, veracity, network, t = args
-        fresh = key not in w.details
-        result = exec_post(w, poster, key, veracity, t, network=network)
-        if not isinstance(result, Violation):
-            (w.with_detail if fresh else w.with_detail_value)(result)
-        return result
+        return exec_post(w, poster, key, veracity, t, network=network)
     if op == "tamper":
         return exec_tamper_guard(w, *args)
     if op == "signoff":
-        result = exec_signoff(w, *args)
-        if not isinstance(result, Violation):
-            w.without_memberships(*args)
-        return result
+        return exec_signoff(w, *args)
     key, requester, t = args
     return exec_reveal(w, key, requester, t)
 
@@ -558,15 +538,13 @@ def test_writes_allocate_independently_of_world_size():
 
     def collect():
         assert exec_collect(w, "s1", "hot", "analytics", t=1) is None
-        w.with_collection("hot", 1)
 
     def sign_off():
         assert exec_signoff(w, "s7") == ("fb",)
-        w.without_memberships("s7")
 
     budget = 16 * 1024
     writes = {
-        "post": lambda: w.with_detail_value(exec_post(w, "s0", "d7", True, t=1, value="v1")),
+        "post": lambda: exec_post(w, "s0", "d7", True, t=1, value="v1"),
         "collect": collect,
         "new detail": lambda: w.with_detail(Detail("fresh", "s0", "fb", Privacy.PUBLIC, "v0")),
         "new member": lambda: w.with_member("newcomer", "fb"),
@@ -579,4 +557,5 @@ def test_writes_allocate_independently_of_world_size():
     for name, call in writes.items():
         assert _peak_bytes(call) <= budget, name
     assert len(w.latest_approval) == n + 1 and w.latest_approval["hot"] == 1
+    assert w.details["d7"].value == "v1" and not w.has_any_membership("s7")
     assert w.ongoing_assignments("s2")[-1] == "b0"
