@@ -1,15 +1,15 @@
 """Exhaustive check of the real scheduler against the oracle's predicates.
 
-Every instance of a few commitments over a slot set (one slot fixes an
-access, target, priority and target owner) is submitted to a
+A slot fixes a verb (``COLLECT``, ``POST`` or ``SIGNOFF``: a reader, a
+writer, or a service leaving), a target, a priority and a target owner,
+and ``slot_commitment`` builds its ``Commitment``. Every instance of a
+few commitments over a slot set is built once and submitted to a
 ``Scheduler`` under each policy, and every order in which its active
 commitments can complete is walked. ``oracle.admission_fault`` checks
-each submit and ``oracle.drain_fault`` each retire, on the states the
-scheduler shows; a run left with nothing active must have an empty
+each submit and ``oracle.drain_fault`` each retire, on the commitments
+the scheduler shows; a run left with nothing active must have an empty
 queue. Each branch but the last replays its completion prefix on a fresh
 scheduler and the last goes on with the live one: one replay per order.
-``_mini_commitment`` projects a real commitment back onto a slot's
-values, so random runs of the scheduler are judged by the same mapping.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from itertools import product
 
 from .model import (
-    AccessClass,
     Commitment,
     CommitmentKind,
     ContentAction,
@@ -26,28 +25,23 @@ from .model import (
     Verb,
     new_commitment,
 )
-from .oracle import (
-    MAX_INSTANCE,
-    READER,
-    SIGNOFF,
-    WRITER,
-    MiniCommitment,
-    State,
-    admission_fault,
-    drain_fault,
-)
+from .oracle import MAX_INSTANCE, State, admission_fault, drain_fault
 from .scheduler import DecisionKind, Policy, Scheduler
 
-# A slot: (access, target, priority, owner of the target).
+COLLECT, POST, SIGNOFF = Verb.COLLECT, Verb.POST, Verb.SIGNOFF
+# The letter of each slot verb in a fault tag: a reader, a writer, a sign-off.
+_LETTER = {COLLECT: "R", POST: "W", SIGNOFF: "S"}
+
+# A slot: (verb, target, priority, owner of the target).
 TARGET_SLOTS = tuple(
-    (access, target, priority, None)
-    for access, target, priority in product((READER, WRITER), ("d", "e"), (0, 10))
+    (verb, target, priority, None)
+    for verb, target, priority in product((COLLECT, POST), ("d", "e"), (0, 10))
 )
 OWNER_SLOTS = (
-    (READER, "d", 0, "s"),
-    (READER, "d", 0, None),  # shares d with the owned reader, not its owner scope
-    (WRITER, "d", 0, None),
-    (WRITER, "e", 0, "s"),
+    (COLLECT, "d", 0, "s"),
+    (COLLECT, "d", 0, None),  # shares d with the owned reader, not its owner scope
+    (POST, "d", 0, None),
+    (POST, "e", 0, "s"),
     (SIGNOFF, "s", 0, None),
 )
 SLOT_SETS = {"targets": TARGET_SLOTS, "owners": OWNER_SLOTS}
@@ -56,38 +50,28 @@ _POLICIES = (Policy.FCFS, Policy.PRIORITY)
 _COMPLETED = LifecycleState.COMPLETED
 
 
-def _real_commitment(mini: MiniCommitment) -> Commitment:
-    debtor = f"svc-{mini.id}"
-    if mini.access == READER:
-        content = ContentAction(Verb.COLLECT, mini.target, owner="owner", purpose="testing")
-    elif mini.access == WRITER:
-        content = ContentAction(Verb.POST, mini.target, veracity=True)
+def slot_commitment(cid, verb, target, priority=0, arrival=0, owner=None) -> Commitment:
+    """The commitment of one slot: a collect, a post, or a sign-off by ``target``."""
+    debtor = f"svc-{cid}"
+    if verb is COLLECT:
+        content = ContentAction(verb, target, owner="owner", purpose="testing")
+    elif verb is POST:
+        content = ContentAction(verb, target, veracity=True)
+    elif verb is SIGNOFF:
+        content, debtor = ContentAction(verb, target), target
     else:
-        content, debtor = ContentAction(Verb.SIGNOFF, mini.target), mini.target
+        raise ValueError(f"a slot's verb is collect, post or signoff, got {verb!r}")
     return new_commitment(
-        mini.id,
+        cid,
         CommitmentKind.SOCIAL,
-        RESPONSIBILITY_FOR_VERB[content.verb],
+        RESPONSIBILITY_FOR_VERB[verb],
         debtor=debtor,
         creditor="net",
         content=content,
-        explicit_priority=mini.priority,
-        clock=mini.arrival,
-        target_owner=mini.owner,
+        explicit_priority=priority,
+        clock=arrival,
+        target_owner=owner,
     )
-
-
-def _mini_commitment(c: Commitment) -> MiniCommitment:
-    """What the oracle's predicates read of ``c``; ``_real_commitment`` inverted.
-
-    A sign-off verb is ``SIGNOFF`` (its target is the leaving service),
-    any other verb a reader or a writer by its access class.
-    """
-    if c.content.verb is Verb.SIGNOFF:
-        access = SIGNOFF
-    else:
-        access = READER if c.access is AccessClass.READER else WRITER
-    return MiniCommitment(c.id, access, c.content.target, c.priority, c.arrival, c.target_owner)
 
 
 class GridReport:
@@ -103,22 +87,21 @@ class GridReport:
 class _Instance:
     """One combination under one policy, walked on the real scheduler."""
 
-    def __init__(self, minis: tuple[MiniCommitment, ...], policy: Policy, report: GridReport):
-        self.minis = {m.id: m for m in minis}
-        self.commitments = [_real_commitment(m) for m in minis]
+    def __init__(self, commitments: tuple[Commitment, ...], policy: Policy, report: GridReport):
+        self.commitments = commitments
         self.policy = policy
         self.report = report
 
     def _observe(self, sched: Scheduler) -> State:
-        minis = self.minis
-        return tuple(minis[i] for i in sched.active), tuple(minis[c.id] for c in sched.queue)
+        return tuple(sched.active.values()), sched.queue
 
     def _fault(self, fault: str) -> None:
         self.report.runs += 1
         tag = ",".join(
-            f"{m.id}:{m.access[0].upper()}({m.target}{'/' + m.owner if m.owner else ''})"
-            f"p{m.priority}a{m.arrival}"
-            for m in self.minis.values()
+            f"{c.id}:{_LETTER[c.content.verb]}"
+            f"({c.content.target}{'/' + c.target_owner if c.target_owner else ''})"
+            f"p{c.priority}a{c.arrival}"
+            for c in self.commitments
         )
         self.report.faults.append(f"[{self.policy.value}] {tag}: {fault}")
 
@@ -126,14 +109,13 @@ class _Instance:
         sched = Scheduler(self.policy)
         state: State = ((), ())
         for c in self.commitments:
-            mini = self.minis[c.id]
             try:
                 decision = sched.submit(c)
                 blockers = decision.blockers if decision.kind is DecisionKind.WAIT else ()
                 after = self._observe(sched)
-                fault = admission_fault(mini, state, blockers, after)
+                fault = admission_fault(c, state, blockers, after)
             except Exception as exc:  # a broken engine shows up as an error
-                fault = f"submit {mini.id}: scheduler raised {exc!r}"
+                fault = f"submit {c.id}: scheduler raised {exc!r}"
             self.report.states += 1
             if fault:
                 return self._fault(fault)
@@ -161,7 +143,7 @@ class _Instance:
             cid = a.id
             try:
                 live = sched if cid == last else self._replay(prefix)
-                activated = tuple(self.minis[c.id] for c in live.on_complete(cid, _COMPLETED))
+                activated = tuple(live.on_complete(cid, _COMPLETED))
                 after = self._observe(live)
                 fault = drain_fault(self.policy.value, state, cid, activated, after)
             except Exception as exc:  # a broken engine shows up as an error
@@ -182,11 +164,11 @@ def run_grid(max_commitments: int = 4, slots=TARGET_SLOTS) -> GridReport:
     for n in range(1, max_commitments + 1):
         for combo in product(slots, repeat=n):
             # Arrivals 0,1,1,2,2,3: pairs share one, so the FCFS tie-break acts.
-            minis = tuple(
-                MiniCommitment(f"c{i}", access, target, priority, (i + 1) // 2, owner)
-                for i, (access, target, priority, owner) in enumerate(combo)
+            commitments = tuple(
+                slot_commitment(f"c{i}", verb, target, priority, (i + 1) // 2, owner)
+                for i, (verb, target, priority, owner) in enumerate(combo)
             )
             report.combinations += 1
             for policy in _POLICIES:
-                _Instance(minis, policy, report).check()
+                _Instance(commitments, policy, report).check()
     return report

@@ -41,10 +41,6 @@ class UnknownNetwork(EngineError):
     """Referenced network does not exist."""
 
 
-class UnknownService(EngineError):
-    """Service holds no membership in any network."""
-
-
 class UnknownAssignment(EngineError):
     """No assignment with this id."""
 

@@ -1,12 +1,14 @@
 """The readers-writers specification, stated as predicates over states.
 
-Deliberately independent of the scheduler: nothing here is shared with
-``scheduler`` or ``relations``, and nothing here schedules. ``_contend``
-restates the conflict rule from scratch, and ``admission_fault`` and
-``drain_fault`` say what any correct engine may do with it: the
-properties of Courtois, Heymans & Parnas, "Concurrent control with
-'readers' and 'writers'", CACM 1971. A state is the pair (active
-commitments in activation order, queued ones in queue order), as
+Deliberately independent of the scheduler: it imports only ``model``,
+nothing of ``scheduler`` or ``relations``, and nothing here schedules.
+It judges the engine's own ``Commitment`` values, of which ``_contend``
+reads the access class, the content target and verb, the debtor and the
+target owner, and restates the conflict rule from scratch.
+``admission_fault`` and ``drain_fault`` say what any correct engine may
+do with it: the properties of Courtois, Heymans & Parnas, "Concurrent
+control with 'readers' and 'writers'", CACM 1971. A state is the pair
+(active commitments in activation order, queued ones in queue order), as
 observed on the engine under test. Each predicate returns None when a
 step is allowed, else what is wrong with it. Both also require the state
 left behind to be the one the step announced, so that, step by step, no
@@ -19,51 +21,29 @@ them about every step of long runs.
 
 from __future__ import annotations
 
-from .model import Frozen
-
-READER = "reader"
-WRITER = "writer"
-SIGNOFF = "signoff"  # a writer on its own service: leaving an account
+from .model import AccessClass, Commitment, Verb
 
 MAX_INSTANCE = 6
 
+_READER = AccessClass.READER
+_SIGNOFF = Verb.SIGNOFF
 
-class MiniCommitment(Frozen):
-    id: str
-    access: str  # READER, WRITER or SIGNOFF
-    target: str  # a detail key; for a sign-off, the service that leaves
-    priority: int
-    arrival: int
-    owner: str | None  # the service that owns the target detail
-
-    def __init__(self, id, access, target, priority=0, arrival=0, owner=None):
-        if access not in (READER, WRITER, SIGNOFF):
-            raise ValueError(f"access must be {READER!r}, {WRITER!r} or {SIGNOFF!r}")
-        put = object.__setattr__
-        put(self, "id", id)
-        put(self, "access", access)
-        put(self, "target", target)
-        put(self, "priority", priority)
-        put(self, "arrival", arrival)
-        put(self, "owner", owner)
+State = tuple[tuple[Commitment, ...], tuple[Commitment, ...]]
 
 
-State = tuple[tuple[MiniCommitment, ...], tuple[MiniCommitment, ...]]
-
-
-def _contend(a: MiniCommitment, b: MiniCommitment) -> bool:
+def _contend(a: Commitment, b: Commitment) -> bool:
     """Two commitments contend when they share a scope and one of them writes.
 
     A scope is a content target. A sign-off by S also shares one with
     anything whose target S owns: leaving contends with everything still
     touching the account's details.
     """
-    if a.access == READER and b.access == READER:
+    if a.access is _READER and b.access is _READER:
         return False
     return (
-        a.target == b.target
-        or (a.access == SIGNOFF and b.owner == a.target)
-        or (b.access == SIGNOFF and a.owner == b.target)
+        a.content.target == b.content.target
+        or (a.content.verb is _SIGNOFF and b.target_owner == a.debtor)
+        or (b.content.verb is _SIGNOFF and a.target_owner == b.debtor)
     )
 
 
@@ -76,7 +56,7 @@ def _leaves(state: State) -> str:
 
 
 def admission_fault(
-    c: MiniCommitment, before: State, blockers: tuple[str, ...], after: State
+    c: Commitment, before: State, blockers: tuple[str, ...], after: State
 ) -> str | None:
     """Check one submit of ``c``; ``blockers`` is empty when it executes.
 
@@ -94,7 +74,7 @@ def admission_fault(
 
 
 def drain_fault(
-    policy: str, before: State, retired: str, activated: tuple[MiniCommitment, ...], after: State
+    policy: str, before: State, retired: str, activated: tuple[Commitment, ...], after: State
 ) -> str | None:
     """Check one retire of active ``retired`` and the drain that follows it.
 

@@ -80,6 +80,8 @@ class DecisionKind(Enum):
 _READER = AccessClass.READER
 _WRITER = AccessClass.WRITER
 _SIGNOFF = Verb.SIGNOFF
+_ACTIVE = LifecycleState.ACTIVE
+_WAITING = LifecycleState.WAITING
 _COMPLETED = LifecycleState.COMPLETED
 _FAILED = LifecycleState.FAILED
 _VIOLATED = LifecycleState.VIOLATED
@@ -101,17 +103,6 @@ class Decision(Frozen):
             raise ValueError("an execute decision has no blockers")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "blockers", blockers)
-
-
-class MonitoringReport(Frozen):
-    """Commitment counts per service and state, plus the ordered queue."""
-
-    by_service: Mapping[str, Mapping[LifecycleState, int]]
-    queue: tuple[str, ...]
-
-    def __init__(self, by_service, queue):
-        object.__setattr__(self, "by_service", by_service)
-        object.__setattr__(self, "queue", queue)
 
 
 _EXECUTE = Decision(_RUN)
@@ -297,23 +288,14 @@ class Scheduler:
             raise NonEmptyQueue("cannot switch policy with queued commitments")
         self.policy = policy
 
-    def snapshot(self) -> MonitoringReport:
-        """Per-service commitment counts by state plus the current queue."""
-        counts: dict[str, dict[LifecycleState, int]] = {
-            svc: dict(states) for svc, states in self._tally.items()
-        }
-        for c in self._active.values():
-            counts.setdefault(c.debtor, {})[LifecycleState.ACTIVE] = (
-                counts.get(c.debtor, {}).get(LifecycleState.ACTIVE, 0) + 1
-            )
-        for c in self._queue.values():
-            counts.setdefault(c.debtor, {})[LifecycleState.WAITING] = (
-                counts.get(c.debtor, {}).get(LifecycleState.WAITING, 0) + 1
-            )
-        return MonitoringReport(
-            by_service=counts,
-            queue=tuple(self._queue),
-        )
+    def snapshot(self) -> dict[str, dict[LifecycleState, int]]:
+        """Per-service commitment counts by state, active and waiting ones included."""
+        counts = {svc: dict(states) for svc, states in self._tally.items()}
+        for state, held in ((_ACTIVE, self._active), (_WAITING, self._queue)):
+            for c in held.values():
+                per = counts.setdefault(c.debtor, {})
+                per[state] = per.get(state, 0) + 1
+        return counts
 
     def _take_seq(self, cid: str) -> int:
         seq = self._seq[cid] = self._next_seq

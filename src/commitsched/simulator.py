@@ -41,7 +41,7 @@ from .model import (
     new_commitment,
 )
 from .scenario import COMMANDS, Command, Scenario
-from .scheduler import DecisionKind, MonitoringReport, Policy, Scheduler
+from .scheduler import DecisionKind, Policy, Scheduler
 from .trace import EventKind, ScheduleEvent, Trace
 from .world import (
     Assignment,
@@ -176,8 +176,8 @@ class _Sim:
         self.clock += ticks
 
     def _do_snapshot(self) -> None:
-        report = self.sched.snapshot()
-        self.emit(EventKind.SNAPSHOT, "scheduler", *_snapshot_attrs(report))
+        attrs = _snapshot_attrs(self.sched.snapshot(), self.sched.queue)
+        self.emit(EventKind.SNAPSHOT, "scheduler", *attrs)
 
     def _do_complete(self, cid: str, failed: bool) -> None:
         holder = self.sched.active.get(cid)  # on_complete rejects an inactive cid
@@ -303,11 +303,11 @@ class _Sim:
 _HANDLERS = {verb: getattr(_Sim, "_do_" + verb.replace("-", "_")) for verb in COMMANDS}
 
 
-def _snapshot_attrs(report: MonitoringReport) -> list[tuple[str, str]]:
-    attrs = [("queue", ",".join(report.queue) if report.queue else "-")]
+def _snapshot_attrs(counts, queue: tuple[Commitment, ...]) -> list[tuple[str, str]]:
+    attrs = [("queue", ",".join(c.id for c in queue) or "-")]
     state_order = list(LifecycleState)
-    for service in sorted(report.by_service):
-        per = report.by_service[service]
+    for service in sorted(counts):
+        per = counts[service]
         for state in state_order:
             n = per.get(state, 0)
             if n:

@@ -28,7 +28,7 @@ Responsibilities enforced here:
   resp1  collecting a detail needs a valid purpose and network membership
   resp2  posted content must be true (and the poster a member)
   resp3  collected details must not be tampered with afterwards
-  resp4  signing off requires no ongoing assignments
+  resp4  signing off requires a membership and no ongoing assignments
   resp5  revealing a public detail to non-members is authorized only
          within ``reveal_ttl`` ticks of an approved collection
 """
@@ -46,7 +46,6 @@ from .errors import (
     UnknownAssignment,
     UnknownDetail,
     UnknownNetwork,
-    UnknownService,
 )
 from .model import Frozen, Privacy, Responsibility
 
@@ -297,15 +296,16 @@ def exec_tamper_guard(w: WorldState, detail_key: str) -> Violation | None:
 
 
 def exec_signoff(w: WorldState, service: str) -> tuple[str, ...] | Violation:
-    """Sign a service off its networks; blocked by ongoing assignments (resp4).
+    """Sign a service off its networks (resp4).
 
-    Complete and failed assignments are both terminal and do not block.
-    A passed sign-off drops every membership of the service and returns
-    the networks it left.
+    The service must be a member of a network and have no ongoing
+    assignments; complete and failed ones are both terminal and do not
+    block. A passed sign-off drops every membership of the service and
+    returns the networks it left.
     """
     networks = w.member_networks(service)
     if not networks:
-        raise UnknownService(f"{service!r} is not a member of any network")
+        return Violation(_RESP4, "signer-not-member")
     ongoing = w.ongoing_assignments(service)
     if ongoing:
         return Violation(_RESP4, "ongoing-assignments", items=ongoing)

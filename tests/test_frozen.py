@@ -15,15 +15,13 @@ from commitsched.model import (
     CommitmentKind,
     ContentAction,
     Frozen,
-    LifecycleState,
     Privacy,
     Responsibility,
     Verb,
     new_commitment,
 )
-from commitsched.oracle import MiniCommitment
 from commitsched.scenario import Command, Scenario
-from commitsched.scheduler import Decision, DecisionKind, MonitoringReport, Scheduler
+from commitsched.scheduler import Decision, DecisionKind, Scheduler
 from commitsched.simulator import RunResult
 from commitsched.trace import Trace
 from commitsched.world import Assignment, Detail, Violation, WorldState
@@ -66,11 +64,6 @@ EXAMPLES = {
         lambda: Decision(DecisionKind.WAIT, ("c1", "c2")),
         "Decision(kind=<DecisionKind.WAIT: 'wait'>, blockers=('c1', 'c2'))",
     ),
-    MonitoringReport: (
-        lambda: MonitoringReport({"svcA": {LifecycleState.ACTIVE: 1}}, ("c2",)),
-        "MonitoringReport(by_service={'svcA': {<LifecycleState.ACTIVE: 'active'>: 1}}, "
-        "queue=('c2',))",
-    ),
     Scenario: (
         lambda: Scenario((Command("network", 1, ("fb",)),), "demo.scn"),
         "Scenario(commands=(Command(verb='network', line=1, args=('fb',)),), source='demo.scn')",
@@ -78,11 +71,6 @@ EXAMPLES = {
     Trace: (
         lambda: Trace(("t=0 Registered svcA network=fb",), 3, True),
         "Trace(event_lines=('t=0 Registered svcA network=fb',), final_clock=3, ok=True)",
-    ),
-    MiniCommitment: (
-        lambda: MiniCommitment("c1", "writer", "d", 10, 2, "s"),
-        "MiniCommitment(id='c1', access='writer', target='d', priority=10, arrival=2, "
-        "owner='s')",
     ),
 }
 

@@ -4,6 +4,7 @@ long runs."""
 
 from __future__ import annotations
 
+import ast
 import traceback
 from collections import Counter
 from pathlib import Path
@@ -12,35 +13,36 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.errors import HypothesisException
 
-from commitsched import equivalence, scheduler
+from commitsched import equivalence, oracle, scheduler
 from commitsched.cli import main
-from commitsched.equivalence import OWNER_SLOTS, TARGET_SLOTS, GridReport, run_grid
-from commitsched.errors import UnknownId
-from commitsched.model import LifecycleState
-from commitsched.oracle import (
-    READER,
+from commitsched.equivalence import (
+    COLLECT,
+    OWNER_SLOTS,
+    POST,
     SIGNOFF,
-    WRITER,
-    MiniCommitment,
-    _contend,
-    admission_fault,
-    drain_fault,
+    TARGET_SLOTS,
+    GridReport,
+    run_grid,
+    slot_commitment,
 )
+from commitsched.errors import UnknownId
+from commitsched.model import LifecycleState, Verb
+from commitsched.oracle import _contend, admission_fault, drain_fault
 from commitsched.scheduler import DecisionKind, Policy
 
 from conftest import any_commitment
 
 
 def R(cid, target="d", prio=0, arr=0, owner=None):
-    return MiniCommitment(cid, READER, target, prio, arr, owner)
+    return slot_commitment(cid, COLLECT, target, prio, arr, owner)
 
 
 def W(cid, target="d", prio=0, arr=0, owner=None):
-    return MiniCommitment(cid, WRITER, target, prio, arr, owner)
+    return slot_commitment(cid, POST, target, prio, arr, owner)
 
 
 def S(cid, service="s", arr=0):
-    return MiniCommitment(cid, SIGNOFF, service, 0, arr)
+    return slot_commitment(cid, SIGNOFF, service, 0, arr)
 
 
 def _admitted(c, active, queued, blockers):
@@ -144,9 +146,9 @@ def test_drain_activates_only_free_queued_commitments():
 # Every submit and every retire is a checked state, and every completion
 # order is a run: a walk that skipped an order would count fewer of both.
 
-def _walk(*minis, policy=Policy.FCFS):
+def _walk(*commitments, policy=Policy.FCFS):
     report = GridReport()
-    equivalence._Instance(minis, policy, report).check()
+    equivalence._Instance(commitments, policy, report).check()
     assert report.faults == []
     return report.runs, report.states
 
@@ -188,15 +190,6 @@ def test_grid_of_three_is_clean():
 
 def test_owner_grid_of_three_is_clean():
     assert _clean_grid_of_three(OWNER_SLOTS) == (155, 832, 2988)
-
-
-@pytest.mark.parametrize("slots", [TARGET_SLOTS, OWNER_SLOTS], ids=["targets", "owners"])
-def test_projection_inverts_the_grid_commitment(slots):
-    # The grid builds real commitments from slots and the random runs project
-    # real ones back: both read one mapping.
-    for n, (access, target, priority, owner) in enumerate(slots):
-        mini = MiniCommitment(f"c{n}", access, target, priority, n, owner)
-        assert equivalence._mini_commitment(equivalence._real_commitment(mini)) == mini
 
 
 # Each is one edit of scheduler.py, and each must make both the grid of three
@@ -291,23 +284,21 @@ def _random_run(engine, policy: Policy, data) -> None:
     Each step submits ``conftest.any_commitment`` (sign-offs, owner
     scopes, equal and non-monotone arrivals), retires an active id by
     completion, failure or violation, or retires a queued or retired id.
-    Every commitment is projected once by ``equivalence._mini_commitment``,
-    the mapping the grid inverts, and the oracle judges the observed
-    states: ``admission_fault`` every submit, ``drain_fault`` every retire.
-    Nothing here restates the drain rule. The run also checks what the
-    predicates do not read: the engine holds and returns the caller's own
-    objects; retiring an inactive id raises ``UnknownId`` and changes
+    The oracle judges the states observed, in the engine's own
+    commitments: ``admission_fault`` every submit, ``drain_fault`` every
+    retire. Nothing here restates the drain rule. The run also checks what
+    the predicates do not read: the engine holds and returns the caller's
+    own objects; retiring an inactive id raises ``UnknownId`` and changes
     nothing; ``snapshot()`` equals a count, kept here, of each id's last
-    outcome, with the queue in order; and ``_held.blocks`` of each waiter
-    agrees with ``_held.conflicting`` and with ``oracle._contend`` over the
-    active set.
+    outcome; and ``_held.blocks`` of each waiter agrees with
+    ``_held.conflicting`` and with ``oracle._contend`` over the active set.
     """
     s = engine(policy)
-    made, minis = {}, {}  # id -> the submitted commitment, and its projection
+    made = {}  # id -> the submitted commitment
     last = {}  # id -> Waiting, Active or its final state
 
     def observe():
-        return tuple(minis[i] for i in s.active), tuple(minis[c.id] for c in s.queue)
+        return tuple(s.active.values()), s.queue
 
     state = ((), ())
     for step in range(data.draw(st.integers(1, 40), label="steps")):
@@ -318,11 +309,10 @@ def _random_run(engine, policy: Policy, data) -> None:
         if op == "submit":
             c = any_commitment(data, f"c{step}")
             made[c.id] = c
-            mini = minis[c.id] = equivalence._mini_commitment(c)
             decision = s.submit(c)
             blockers = decision.blockers if decision.kind is DecisionKind.WAIT else ()
             after = observe()
-            fault = admission_fault(mini, state, blockers, after)
+            fault = admission_fault(c, state, blockers, after)
             last[c.id] = LifecycleState.WAITING if blockers else LifecycleState.ACTIVE
         elif op == "retire":
             cid = data.draw(st.sampled_from(active), label="retired")
@@ -330,9 +320,7 @@ def _random_run(engine, policy: Policy, data) -> None:
             activated = _retire(s, cid, final)
             assert all(a is made[a.id] for a in activated)
             after = observe()
-            fault = drain_fault(
-                policy.value, state, cid, tuple(minis[a.id] for a in activated), after
-            )
+            fault = drain_fault(policy.value, state, cid, tuple(activated), after)
             last[cid] = final
             last.update((a.id, LifecycleState.ACTIVE) for a in activated)
         else:
@@ -346,15 +334,13 @@ def _random_run(engine, policy: Policy, data) -> None:
         assert all(c is made[cid] for cid, c in s.active.items())
         assert all(c is made[c.id] for c in s.queue)
         counts = Counter((made[cid].debtor, outcome) for cid, outcome in last.items())
-        report = s.snapshot()
         assert counts == {
-            (svc, outcome): n for svc, per in report.by_service.items() for outcome, n in per.items()
+            (svc, outcome): n for svc, per in s.snapshot().items() for outcome, n in per.items()
         }
-        assert report.queue == tuple(m.id for m in state[1])
         for q in s.queue:
             blocked = s._held.blocks(q)
             assert blocked == bool(list(s._held.conflicting(q)))
-            assert blocked == any(_contend(minis[q.id], a) for a in state[0])
+            assert blocked == any(_contend(q, a) for a in state[0])
 
 
 @settings(max_examples=200, deadline=None, report_multiple_bugs=False)
@@ -415,18 +401,63 @@ def test_oracle_command_reports_a_raising_submit(monkeypatch, capsys):
     ]
 
 
+class _Refusing(scheduler.Scheduler):
+    """Refuses every completion: each run of one commitment is a fault."""
+
+    def on_complete(self, cid, outcome):
+        raise UnknownId(cid)
+
+
 def test_oracle_command_reports_an_engine_error_as_a_fault(monkeypatch, capsys):
     # An EngineError from the engine under test is a fault (exit 1), not a
     # usage error (exit 2).
-    class Refusing(scheduler.Scheduler):
-        def on_complete(self, cid, outcome):
-            raise UnknownId(cid)
-
-    monkeypatch.setattr(equivalence, "Scheduler", Refusing)
+    monkeypatch.setattr(equivalence, "Scheduler", _Refusing)
     assert main(["oracle", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[2] == "pass=0 fail=26"
     assert out[3] == "  [fcfs] c0:R(d)p0a0: complete c0: scheduler raised UnknownId('c0')"
+
+
+def test_fault_tag_names_each_owner_slot(monkeypatch):
+    # The letter is read off the verb, and the owner follows the target.
+    monkeypatch.setattr(equivalence, "Scheduler", _Refusing)
+    tags = ("c0:R(d/s)p0a0", "c0:R(d)p0a0", "c0:W(d)p0a0", "c0:W(e/s)p0a0", "c0:S(s)p0a0")
+    assert run_grid(1, OWNER_SLOTS).faults == [
+        f"[{policy}] {tag}: complete c0: scheduler raised UnknownId('c0')"
+        for tag in tags
+        for policy in ("fcfs", "priority")
+    ]
+
+
+# -- independence -------------------------------------------------------------------
+
+def _package_imports(source: str) -> set[str]:
+    """The ``commitsched`` modules a module's source imports, package-relative."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            names = ["commitsched." + n for n in names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+            if node.module == "commitsched":
+                names = ["commitsched." + a.name for a in node.names]
+        else:
+            continue
+        found.update(n for n in names if n == "commitsched" or n.startswith("commitsched."))
+    return {n.removeprefix("commitsched.") for n in found}
+
+
+def test_oracle_imports_only_the_model():
+    # The specification shares no code with the engine it judges. Importing
+    # the oracle loads the package ``__init__``, so ``sys.modules`` cannot
+    # tell: its source can.
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert _package_imports(source) == {"model"}
+    wider = "import commitsched.relations\nfrom . import trace\nfrom commitsched import scheduler\n"
+    assert _package_imports(wider) == {"relations", "trace", "scheduler"}
 
 
 # -- bounds -------------------------------------------------------------------------
@@ -453,11 +484,13 @@ def test_run_grid_rejects_a_size_out_of_range(size, monkeypatch):
     def never(*_args, **_kwargs):
         raise AssertionError("an instance was built")
 
-    monkeypatch.setattr("commitsched.equivalence.MiniCommitment", never)
+    monkeypatch.setattr("commitsched.equivalence.slot_commitment", never)
     with pytest.raises(ValueError, match=f"max_commitments must be 1 to 6, got {size}"):
         run_grid(size)
 
 
 def test_bad_access_rejected():
-    with pytest.raises(ValueError):
-        MiniCommitment("c1", "admin", "d")
+    # A slot is a reader, a writer or a sign-off: the grid has no other verb.
+    for verb in (Verb.TAMPER, Verb.REVEAL, "collect"):
+        with pytest.raises(ValueError, match="a slot's verb is collect, post or signoff"):
+            slot_commitment("c1", verb, "d")

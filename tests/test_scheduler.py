@@ -293,7 +293,7 @@ def test_violation_releases_scope():
     s = _loaded(Policy.FCFS, ("c2", W, 0))
     activated = s.on_violation("c1")
     assert [c.id for c in activated] == ["c2"]
-    assert s.snapshot().by_service["svcA"][LifecycleState.VIOLATED] == 1
+    assert s.snapshot()["svcA"][LifecycleState.VIOLATED] == 1
 
 
 @pytest.mark.parametrize(
@@ -336,29 +336,19 @@ def test_restating_the_policy_with_a_queue_changes_nothing():
 # -- snapshot --------------------------------------------------------------------
 
 def test_snapshot_empty():
-    report = Scheduler().snapshot()
-    assert report.by_service == {}
-    assert report.queue == ()
+    assert Scheduler().snapshot() == {}
 
 
 def test_snapshot_counts_active_and_waiting():
     s = _loaded(Policy.FCFS, ("c2", W, 0))
-    report = s.snapshot()
-    assert report.by_service == {
-        "svcA": {LifecycleState.ACTIVE: 1, LifecycleState.WAITING: 1}
-    }
-    assert report.queue == ("c2",)
+    assert s.snapshot() == {"svcA": {LifecycleState.ACTIVE: 1, LifecycleState.WAITING: 1}}
 
 
 def test_snapshot_after_completion():
     # Replay of the two-step scenario: complete c1, c2 takes its place.
     s = _loaded(Policy.FCFS, ("c2", W, 0))
     s.on_complete("c1", LifecycleState.COMPLETED)
-    report = s.snapshot()
-    assert report.by_service == {
-        "svcA": {LifecycleState.COMPLETED: 1, LifecycleState.ACTIVE: 1}
-    }
-    assert report.queue == ()
+    assert s.snapshot() == {"svcA": {LifecycleState.COMPLETED: 1, LifecycleState.ACTIVE: 1}}
 
 
 def test_deterministic_replay():

@@ -279,6 +279,25 @@ def test_signoff_waits_for_writes_on_owned_details():
     assert "t=2 SignedOff owner network=fb" in lines
 
 
+def test_a_signoff_queued_behind_its_services_first_is_a_violation():
+    # s2 activates once s1 has left every network: a breach, as a post by a
+    # non-member is, and the run goes on to its end.
+    text = (
+        "network n\nsignup a n accept\nsignup b n accept\n"
+        "detail d a n public v0\n"
+        "submit w1 b post d true\n"
+        "submit s1 a signoff a\nsubmit s2 a signoff a\n"
+        "complete w1\ncomplete s1\n"
+    )
+    lines = _run_text(text).trace.lines()
+    assert lines[-4:] == [
+        "t=0 Completed s1 service=a",
+        "t=0 Activated s2 service=a",
+        "t=0 Violation s2 service=a resp=resp4 reason=signer-not-member",
+        "t=0 END ok=false",
+    ]
+
+
 # -- store writes ----------------------------------------------------------------------
 
 def _record_store_writes(monkeypatch) -> list[str]:

@@ -18,7 +18,6 @@ from commitsched.errors import (
     UnknownAssignment,
     UnknownDetail,
     UnknownNetwork,
-    UnknownService,
 )
 from commitsched.model import Privacy, Responsibility
 from commitsched.world import (
@@ -181,8 +180,10 @@ def test_signoff_blocked_by_ongoing(small_world):
 
 
 def test_signoff_unknown_service(small_world):
-    with pytest.raises(UnknownService):
-        exec_signoff(small_world, "outsider")
+    # A breach, as a post by a non-member is.
+    assert exec_signoff(small_world, "outsider") == Violation(
+        Responsibility.RESP4, "signer-not-member"
+    )
 
 
 # -- reveal -------------------------------------------------------------------------
@@ -322,6 +323,7 @@ def test_violations_leave_world_untouched(small_world):
         lambda: exec_post(w, "outsider", "email", True, t=0),
         lambda: exec_tamper_guard(w, "email"),
         lambda: exec_signoff(w, "svcA"),
+        lambda: exec_signoff(w, "outsider"),
         lambda: exec_reveal(w, "vault", "outsider", t=0),
         lambda: exec_reveal(w, "email", "outsider", t=10_000),
     ]
@@ -412,7 +414,7 @@ def _must_breach(w: WorldState, approvals: list[tuple[str, int]], step) -> bool:
         return key in w.details and any(k == key for k, _ in approvals)
     if op == "signoff":
         svc = args[0]
-        return bool(w.member_networks(svc)) and any(
+        return not w.member_networks(svc) or any(
             a.service == svc and a.status is AssignmentStatus.ONGOING
             for a in w.assignments.values()
         )
