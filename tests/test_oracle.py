@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import traceback
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,11 +27,11 @@ from commitsched.equivalence import (
     slot_commitment,
 )
 from commitsched.errors import UnknownId
-from commitsched.model import LifecycleState, Verb
+from commitsched.model import ACCESS_FOR_VERB, DETAIL_VERBS, AccessClass, LifecycleState, Verb
 from commitsched.oracle import _contend, admission_fault, drain_fault
 from commitsched.scheduler import DecisionKind, Policy
 
-from conftest import any_commitment
+from conftest import any_commitment, make_commitment
 
 
 def R(cid, target="d", prio=0, arr=0, owner=None):
@@ -49,6 +50,52 @@ def _admitted(c, active, queued, blockers):
     """``admission_fault`` of ``c`` given the decision and the state it implies."""
     after = (active, (*queued, c)) if blockers else ((*active, c), queued)
     return admission_fault(c, (active, queued), blockers, after)
+
+
+# -- contention --------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_contend_is_symmetric(data):
+    a, b = any_commitment(data, "a"), any_commitment(data, "b")
+    assert _contend(a, b) == _contend(b, a)
+
+
+def test_on_one_detail_contention_is_one_of_them_writing():
+    for va, vb in product(DETAIL_VERBS, repeat=2):
+        a = make_commitment("a", verb=va, target="d", debtor="svcA")
+        b = make_commitment("b", verb=vb, target="d", debtor="svcB")
+        assert _contend(a, b) == (AccessClass.WRITER in (a.access, b.access)), (va, vb)
+        elsewhere = make_commitment("b", verb=vb, target="e", debtor="svcB")
+        assert not _contend(a, elsewhere), (va, vb)
+
+
+def test_two_signoffs_contend_only_within_one_service():
+    assert _contend(S("c1"), S("c2", arr=1))
+    assert not _contend(S("c1"), S("c2", "t", arr=1))
+
+
+def test_signoff_spares_unowned_and_foreign_targets():
+    leave = S("c1")
+    assert _contend(leave, W("c2", owner="s"))
+    assert not _contend(leave, W("c3"))
+    assert not _contend(leave, W("c4", owner="t"))
+
+
+@pytest.mark.parametrize("slots", [TARGET_SLOTS, OWNER_SLOTS], ids=["targets", "owners"])
+def test_slot_commitment_carries_its_slot(slots):
+    # The predicates and the fault tags read each slot back off its commitment.
+    for n, (verb, target, priority, owner) in enumerate(slots):
+        c = slot_commitment(f"c{n}", verb, target, priority, n, owner)
+        assert (c.id, c.content.verb, c.content.target) == (f"c{n}", verb, target)
+        assert (c.priority, c.arrival, c.target_owner) == (priority, n, owner)
+        assert c.access is ACCESS_FOR_VERB[verb]
+        assert c.debtor == (target if verb is SIGNOFF else f"svc-c{n}")
+
+
+def test_slot_commitment_rejects_another_verb():
+    with pytest.raises(ValueError, match="collect, post or signoff"):
+        slot_commitment("c0", Verb.TAMPER, "d")
 
 
 # -- admission ---------------------------------------------------------------------
@@ -97,6 +144,17 @@ def test_admission_checks_the_state_left_behind():
     )
 
 
+def test_admission_checks_where_a_waiter_is_left():
+    c1, c2, c3 = W("c1"), W("c2", arr=1), W("c3", arr=2)
+    assert admission_fault(c2, ((c1,), ()), ("c1",), ((c1, c2), ())) == (
+        "submit c2: leaves active ('c1', 'c2') queued ()"
+    )
+    # A waiter joins the end of the queue, not its front.
+    assert admission_fault(c3, ((c1,), (c2,)), ("c1", "c2"), ((c1,), (c3, c2))) == (
+        "submit c3: leaves active ('c1',) queued ('c3', 'c2')"
+    )
+
+
 # -- drain -------------------------------------------------------------------------
 
 def test_drain_ranks_by_each_policy_key():
@@ -115,6 +173,43 @@ def test_fcfs_breaks_an_arrival_tie_by_queue_order():
     before = ((c1,), (c2, c3))
     assert drain_fault("fcfs", before, "c1", (c2,), ((c2,), (c3,))) is None
     assert drain_fault("fcfs", before, "c1", (c3,), ((c3,), (c2,))) is not None
+
+
+def test_priority_breaks_a_tie_by_arrival_then_id():
+    c1 = W("c1")
+    late, early = W("c2", prio=10, arr=2), W("c3", prio=10, arr=1)
+    before = ((c1,), (late, early))
+    assert drain_fault("priority", before, "c1", (early,), ((early,), (late,))) is None
+    assert drain_fault("priority", before, "c1", (late,), ((late,), (early,))) == (
+        "activates c2 ahead of c3, which ranks ahead and was free"
+    )
+    # Equal arrivals too: the smaller id, though FCFS serves the queue's first.
+    c5, c4 = W("c5", prio=10, arr=1), W("c4", prio=10, arr=1)
+    before = ((c1,), (c5, c4))
+    assert drain_fault("priority", before, "c1", (c4,), ((c4,), (c5,))) is None
+    assert drain_fault("priority", before, "c1", (c5,), ((c5,), (c4,))) == (
+        "activates c5 ahead of c4, which ranks ahead and was free"
+    )
+    assert drain_fault("fcfs", before, "c1", (c5,), ((c5,), (c4,))) is None
+
+
+def test_drain_may_pass_a_waiter_that_is_still_blocked():
+    # c3 ranks ahead of c4 but still waits for c1: retiring c2 frees c4 alone.
+    c1, c2, c3, c4 = W("c1"), W("c2", "e"), R("c3", arr=1), R("c4", "e", arr=2)
+    before = ((c1, c2), (c3, c4))
+    assert drain_fault("fcfs", before, "c2", (c4,), ((c1, c4), (c3,))) is None
+    assert drain_fault("fcfs", before, "c2", (c3, c4), ((c1, c3, c4), ())) == (
+        "activates c3 beside a commitment it contends with"
+    )
+
+
+def test_retiring_the_last_owned_reader_frees_a_queued_signoff():
+    owned, leave = R("c1", owner="s"), S("c2", arr=1)
+    before = ((owned,), (leave,))
+    assert drain_fault("fcfs", before, "c1", (leave,), ((leave,), ())) is None
+    assert drain_fault("fcfs", before, "c1", (), ((), (leave,))) == (
+        "leaves c2 queued with nothing active contending with it"
+    )
 
 
 def test_drain_activates_every_free_waiter_in_key_order():
