@@ -21,10 +21,6 @@ class DuplicateId(EngineError):
     """Commitment id was already used in this run."""
 
 
-class UnknownDetail(EngineError):
-    """Referenced detail key does not exist in the world."""
-
-
 # --- scheduler ----------------------------------------------------------
 
 class UnknownId(EngineError):
@@ -39,6 +35,10 @@ class NonEmptyQueue(EngineError):
 
 class UnknownNetwork(EngineError):
     """Referenced network does not exist."""
+
+
+class UnknownDetail(EngineError):
+    """Referenced detail key does not exist in the world."""
 
 
 class UnknownAssignment(EngineError):
@@ -74,7 +74,6 @@ class ParseError(EngineError):
         super().__init__(f"line {line}, col {column}: {message}")
         self.line = line
         self.column = column
-        self.reason = message
 
 
 class ScenarioRuntimeError(EngineError):
@@ -84,5 +83,4 @@ class ScenarioRuntimeError(EngineError):
         super().__init__(f"line {line} ({command}): {message}")
         self.line = line
         self.command = command
-        self.reason = message
 

@@ -35,11 +35,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Mapping
 
-from .errors import (
-    InvalidContent,
-    MismatchedResponsibility,
-    UnknownDetail,
-)
+from .errors import InvalidContent, MismatchedResponsibility
 
 
 class CommitmentKind(Enum):
@@ -105,10 +101,6 @@ ACCESS_FOR_VERB: Mapping[Verb, AccessClass] = {
     Verb.TAMPER: AccessClass.WRITER,
     Verb.SIGNOFF: AccessClass.WRITER,
 }
-
-# Verbs whose target names a detail key (sign-off targets the debtor's
-# own service account instead).
-DETAIL_VERBS = frozenset({Verb.COLLECT, Verb.POST, Verb.TAMPER, Verb.REVEAL})
 
 PRIORITY_PUBLIC = 0
 PRIORITY_PRIVATE = 10
@@ -220,11 +212,6 @@ class Commitment(Frozen):
         raise TypeError("Commitment has no constructor: build one with new_commitment")
 
 
-def derive_access_class(content: ContentAction) -> AccessClass:
-    """Reader/writer classification of a content action. Total over verbs."""
-    return ACCESS_FOR_VERB[content.verb]
-
-
 def derive_priority(
     content: ContentAction,
     explicit: int | None = None,
@@ -233,23 +220,17 @@ def derive_priority(
     """Priority of a commitment: explicit override, else privacy-derived.
 
     ``privacy`` is that of the target detail, None when there is none.
-    Private target details map to PRIORITY_PRIVATE, public ones (and
-    non-detail targets such as sign-off) to PRIORITY_PUBLIC. So does a
-    post without a target detail: it creates a public one. Any other
-    detail verb without a target detail raises UnknownDetail.
+    Private target details map to PRIORITY_PRIVATE, everything else to
+    PRIORITY_PUBLIC: public details, a post's fresh key (it creates a
+    public detail) and sign-offs, whose target is no detail.
     """
     if explicit is not None:
         if explicit < 0:
             raise ValueError(f"priority must be >= 0, got {explicit}")
         return explicit
-    verb = content.verb
-    if verb not in DETAIL_VERBS:
-        return PRIORITY_PUBLIC
-    if privacy is None:
-        if verb is _POST:
-            return PRIORITY_PUBLIC
-        raise UnknownDetail(f"no detail {content.target!r} to derive priority from")
-    return PRIORITY_PRIVATE if privacy is _PRIVATE else PRIORITY_PUBLIC
+    if privacy is _PRIVATE and content.verb is not _SIGNOFF:
+        return PRIORITY_PRIVATE
+    return PRIORITY_PUBLIC
 
 
 def new_commitment(
@@ -265,7 +246,7 @@ def new_commitment(
     privacy: Privacy | None = None,
     target_owner: str | None = None,
 ) -> Commitment:
-    """Build a commitment, deriving access class and priority.
+    """Build a commitment, deriving access class (``ACCESS_FOR_VERB``) and priority.
 
     ``privacy`` is that of the target detail (None when there is none).
 
@@ -292,7 +273,7 @@ def new_commitment(
         "debtor": debtor,
         "creditor": creditor,
         "content": content,
-        "access": derive_access_class(content),
+        "access": ACCESS_FOR_VERB[content.verb],
         "priority": derive_priority(content, explicit_priority, privacy),
         "arrival": clock,
         "target_owner": target_owner,

@@ -6,7 +6,9 @@ and push them through the scheduler, activation executes the governance
 action immediately, and a responsibility breach retires the commitment
 as Violated (releasing its scope like any completion). The run owns the
 world store and the scheduler; a governance check that passes writes the
-world itself, and a breach writes nothing.
+world itself, and a breach writes nothing. Every error a command meets
+is an ``EngineError``; ``step`` alone wraps it in a
+``ScenarioRuntimeError`` that carries the command's line.
 
 The clock advances only on ``tick`` commands, so commands in between
 share a time slice; same-tick submissions are linearized in file order.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import EngineError, ScenarioRuntimeError
+from .errors import EngineError, ScenarioRuntimeError, UnknownDetail
 from .model import (
     Commitment,
     CommitmentKind,
@@ -64,6 +66,7 @@ _SOCIAL = CommitmentKind.SOCIAL
 _COMPLETED = LifecycleState.COMPLETED
 _FAILED = LifecycleState.FAILED
 _WAIT = DecisionKind.WAIT
+_REGISTERED = EventKind.REGISTERED
 _REJECTED = EventKind.REJECTED
 _VIOLATION = EventKind.VIOLATION
 _SIGNEDOFF = EventKind.SIGNEDOFF
@@ -81,23 +84,6 @@ class RunResult(Frozen):
         put(self, "scheduler", scheduler)
 
 
-def register(
-    w: WorldState, service: str, network: str, accept: bool, clock: int = 0
-) -> ScheduleEvent:
-    """Authority decision on a signup: membership on accept, none on reject.
-
-    Either way the signup must name a known network and a service not yet
-    a member of it; the check raises before anything is written.
-    """
-    if accept:
-        w.with_member(service, network)
-        kind = EventKind.REGISTERED
-    else:
-        w.check_new_member(service, network)
-        kind = EventKind.REJECTED
-    return ScheduleEvent(clock, kind, service, (("network", network),))
-
-
 class _Sim:
     """Mutable state of one scenario run."""
 
@@ -110,7 +96,6 @@ class _Sim:
         self.claimed_ids: set[str] = set()  # submitted or guard-rejected
         self.lines: list[str] = []  # the trace, one canonical line per event
         self.ok = True  # cleared where a Violation line is written
-        self.current: Command | None = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -118,19 +103,13 @@ class _Sim:
         """Write the line of an event of a rare kind."""
         self.lines.append(ScheduleEvent(self.clock, kind, subject, attrs).line())
 
-    def fail(self, message: str) -> ScenarioRuntimeError:
-        cmd = self.current
-        return ScenarioRuntimeError(cmd.line if cmd else 0, cmd.verb if cmd else "?", message)
-
     def step(self, cmd: Command) -> None:
-        self.current = cmd
+        """Run one command; an engine error leaves carrying the command's line."""
         handler = _HANDLERS.get(cmd.verb)
         if handler is None:
-            raise self.fail(f"unknown command {cmd.verb!r}")
+            raise ScenarioRuntimeError(cmd.line, cmd.verb, f"unknown command {cmd.verb!r}")
         try:
             handler(self, *cmd.args)
-        except ScenarioRuntimeError:
-            raise
         except EngineError as exc:
             raise ScenarioRuntimeError(cmd.line, cmd.verb, str(exc)) from exc
 
@@ -148,11 +127,16 @@ class _Sim:
         self.world.with_purpose(network, token)
 
     def _do_signup(self, service: str, network: str, accept: bool) -> None:
-        self.lines.append(register(self.world, service, network, accept, self.clock).line())
+        """Authority decision: membership on accept, none on reject, each validated first."""
+        if accept:
+            self.world.with_member(service, network)
+        else:
+            self.world.check_new_member(service, network)
+        self.emit(_REGISTERED if accept else _REJECTED, service, ("network", network))
 
     def _do_assign(self, service: str, responsibility) -> None:
         if not self.world.has_any_membership(service):
-            raise self.fail(
+            raise EngineError(
                 f"cannot assign responsibilities: {service!r} is a member of no network"
             )
         self.emit(EventKind.ASSIGNED, service, ("resp", responsibility.value))
@@ -203,15 +187,18 @@ class _Sim:
         payload: str | None,
     ) -> None:
         if cid in self.claimed_ids:
-            raise self.fail(f"commitment id {cid!r} already used")
+            raise EngineError(f"commitment id {cid!r} already used")
         if not self.world.has_any_membership(service):
-            raise self.fail(f"{service!r} is a member of no network")
+            raise EngineError(f"{service!r} is a member of no network")
         if guard is not None and not self.guards.get(guard, False):
             self.claimed_ids.add(cid)
             self.emit(_REJECTED, cid, ("guard", guard))
             return
 
         detail = None if verb is _SIGNOFF else self.world.details.get(target)
+        if detail is None and verb is not _POST and verb is not _SIGNOFF:
+            # Only a post may name a missing detail: it creates the detail.
+            raise UnknownDetail(f"no detail {target!r}")
         content = ContentAction(verb, target, owner, purpose, veracity, requester, payload)
         creditor = detail.network if detail else self.world.member_networks(service)[0]
         commitment = new_commitment(

@@ -10,8 +10,8 @@ Each ``exec_*`` check reads the store. A passed collect, post or
 sign-off applies its own write with one ``with_*``/``without_*`` call;
 a breach returns a ``Violation`` naming the responsibility and writes
 nothing. The tamper guard and the reveal never write: the owner runs a
-tamper on a detail nobody collected as a post. ``register`` in the
-simulator likewise validates a signup before it writes anything.
+tamper on a detail nobody collected as a post. ``_Sim._do_signup`` in
+the simulator likewise validates a signup before it writes anything.
 
 Three of the store's maps are indexes, each updated by the write that
 changes what it is derived from, so every write and every check is O(1)
@@ -223,13 +223,6 @@ class WorldState:
 
 # -- responsibility checks --------------------------------------------------
 
-def valid(w: WorldState, network: str, purpose: str) -> bool:
-    """True iff the purpose token is registered for the network."""
-    if network not in w.networks:
-        raise UnknownNetwork(f"no network {network!r}")
-    return purpose in w.purposes.get(network, ())
-
-
 def exec_collect(
     w: WorldState, collector: str, detail_key: str, purpose: str, t: int
 ) -> Violation | None:
@@ -240,7 +233,7 @@ def exec_collect(
     d = w.details.get(detail_key)
     if d is None:
         raise UnknownDetail(f"no detail {detail_key!r}")
-    if not valid(w, d.network, purpose):
+    if purpose not in w.purposes.get(d.network, ()):
         return Violation(_RESP1, "invalid-purpose")
     if not w.is_member(collector, d.network):
         return Violation(_RESP1, "collector-not-member")

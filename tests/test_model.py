@@ -7,11 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from commitsched.errors import (
-    InvalidContent,
-    MismatchedResponsibility,
-    UnknownDetail,
-)
+from commitsched.errors import InvalidContent, MismatchedResponsibility
 from commitsched.model import (
     AccessClass,
     Commitment,
@@ -21,7 +17,6 @@ from commitsched.model import (
     RESPONSIBILITY_FOR_VERB,
     Responsibility,
     Verb,
-    derive_access_class,
     derive_priority,
     new_commitment,
 )
@@ -50,7 +45,11 @@ def _content(verb: Verb, target: str = "d") -> ContentAction:
     ],
 )
 def test_access_class_total(verb, expected):
-    assert derive_access_class(_content(verb)) is expected
+    c = new_commitment(
+        "c1", CommitmentKind.SOCIAL, RESPONSIBILITY_FOR_VERB[verb], "svcA", "netFB",
+        _content(verb, "svcA"),
+    )
+    assert c.access is expected
 
 
 # -- priority ----------------------------------------------------------------
@@ -74,11 +73,6 @@ def test_priority_signoff_is_baseline():
     assert derive_priority(_content(Verb.SIGNOFF, "svcA"), None, None) == 0
 
 
-def test_priority_unknown_detail():
-    with pytest.raises(UnknownDetail):
-        derive_priority(_content(Verb.COLLECT, "ghost"), None, None)
-
-
 def test_priority_post_to_a_fresh_key_is_public():
     """A post without a target detail creates a public one."""
     assert derive_priority(_content(Verb.POST, "fresh"), None, None) == 0
@@ -89,10 +83,13 @@ def test_priority_explicit_override_on_a_fresh_key():
 
 
 @pytest.mark.parametrize("verb", [Verb.COLLECT, Verb.TAMPER, Verb.REVEAL], ids=lambda v: v.value)
-def test_priority_other_verbs_need_a_target_detail(verb):
-    """Only a post may lack its target detail."""
-    with pytest.raises(UnknownDetail, match="no detail 'fresh'"):
-        derive_priority(_content(verb, "fresh"), None, None)
+def test_priority_without_a_target_detail_is_public(verb):
+    """Whether the detail may be missing is the simulator's rule, not this mapping's."""
+    assert derive_priority(_content(verb, "fresh"), None, None) == 0
+
+
+def test_priority_signoff_stays_public_whatever_the_privacy():
+    assert derive_priority(_content(Verb.SIGNOFF, "svcA"), None, Privacy.PRIVATE) == 0
 
 
 def test_priority_rejects_negative():

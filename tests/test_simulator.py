@@ -11,7 +11,7 @@ from commitsched.model import Privacy
 from commitsched.scenario import COMMANDS, Command, Scenario, parse
 from commitsched.scheduler import Policy
 from commitsched.scenarios import load_text
-from commitsched.simulator import _HANDLERS, register, run
+from commitsched.simulator import _HANDLERS, _Sim, run
 from commitsched.trace import EventKind, replay_counts
 from commitsched.world import WorldState
 
@@ -32,34 +32,33 @@ detail wall owner fb public seed
 
 # -- registration -----------------------------------------------------------
 
-def _one_network() -> WorldState:
-    w = WorldState()
-    w.with_network("fb")
-    return w
+def test_signup_accept_adds_membership():
+    result = _run_text("network fb\nsignup svcA fb accept\n")
+    assert result.world.is_member("svcA", "fb")
+    assert [e.kind for e in result.trace.events][-1] is EventKind.REGISTERED
 
 
-def test_register_accept_adds_membership():
-    w = _one_network()
-    event = register(w, "svcA", "fb", accept=True, clock=0)
-    assert w.is_member("svcA", "fb")
-    assert event.kind is EventKind.REGISTERED
-
-
-def test_register_reject_leaves_world():
-    w = _one_network()
-    before = copy.deepcopy(vars(w))
-    event = register(w, "svcA", "fb", accept=False, clock=0)
-    assert vars(w) == before
-    assert event.kind is EventKind.REJECTED
+def test_signup_reject_leaves_world():
+    network, reject = parse("network fb\nsignup svcA fb reject\n").commands
+    sim = _Sim(None)
+    sim.step(network)
+    before = copy.deepcopy(vars(sim.world))
+    sim.step(reject)
+    assert vars(sim.world) == before
+    assert sim.lines == ["t=0 Rejected svcA network=fb"]
     # A rejection is still validated, and a failed one writes nothing either.
-    with pytest.raises(UnknownNetwork, match="no network 'gplus'"):
-        register(w, "svcA", "gplus", accept=False, clock=0)
-    with pytest.raises(UnknownNetwork, match="no network 'gplus'"):
-        register(w, "svcA", "gplus", accept=True, clock=0)
-    assert vars(w) == before
-    w.with_member("svcA", "fb")
-    with pytest.raises(AlreadyMember, match="'svcA' is already a member of 'fb'"):
-        register(w, "svcA", "fb", accept=False, clock=0)
+    for second in ("reject", "accept"):
+        with pytest.raises(ScenarioRuntimeError) as err:
+            sim.step(Command("signup", 3, ("svcA", "gplus", second == "accept")))
+        assert str(err.value) == "line 3 (signup): no network 'gplus'"
+        assert isinstance(err.value.__cause__, UnknownNetwork)
+    assert vars(sim.world) == before
+    sim.world.with_member("svcA", "fb")
+    with pytest.raises(ScenarioRuntimeError) as err:
+        sim.step(Command("signup", 4, ("svcA", "fb", False)))
+    assert str(err.value) == "line 4 (signup): 'svcA' is already a member of 'fb'"
+    assert isinstance(err.value.__cause__, AlreadyMember)
+    assert sim.lines == ["t=0 Rejected svcA network=fb"]
 
 
 def test_register_twice_fails():
@@ -75,7 +74,7 @@ def test_unregistered_service_cannot_submit():
     text = PREAMBLE + "submit c1 ghost post wall true x\n"
     with pytest.raises(ScenarioRuntimeError) as err:
         _run_text(text)
-    assert "ghost" in str(err.value)
+    assert str(err.value) == "line 7 (submit): 'ghost' is a member of no network"
 
 
 def test_rejected_service_cannot_submit():
@@ -202,7 +201,7 @@ def test_guard_rejection_consumes_the_id():
     )
     with pytest.raises(ScenarioRuntimeError) as err:
         _run_text(text)
-    assert "already used" in str(err.value)
+    assert str(err.value) == "line 10 (submit): commitment id 'c1' already used"
 
 
 # -- violations and cascades -----------------------------------------------------------
@@ -429,11 +428,40 @@ def test_unknown_detail_at_submission():
         _run_text(text)
 
 
-@pytest.mark.parametrize("args", ["tamper ghost v", "reveal ghost beta"], ids=["tamper", "reveal"])
-def test_tamper_or_reveal_of_unknown_detail_at_submission(args):
-    text = PREAMBLE + f"submit c1 alpha {args}\n"
-    with pytest.raises(ScenarioRuntimeError, match="no detail 'ghost'"):
+@pytest.mark.parametrize("prio", ["", " prio=1"], ids=["derived", "explicit"])
+@pytest.mark.parametrize(
+    "args",
+    ["collect ghost owner analytics", "tamper ghost v", "reveal ghost beta"],
+    ids=["collect", "tamper", "reveal"],
+)
+def test_collect_tamper_or_reveal_of_unknown_detail_at_submission(args, prio):
+    """Only a post may name a missing detail, whether or not it names a priority."""
+    text = PREAMBLE + f"submit c1 alpha {args}{prio}\n"
+    with pytest.raises(ScenarioRuntimeError) as err:
         _run_text(text)
+    assert str(err.value) == "line 7 (submit): no detail 'ghost'"
+
+
+def test_queued_reveal_of_unknown_detail_fails_at_its_own_submit():
+    # r1 would queue behind s1, so a check made only at activation would
+    # blame the complete on line 7; the submit check names line 6.
+    text = (
+        "network n\nsignup a n accept\nsignup b n accept\nsignup ghost n accept\n"
+        "submit s1 ghost signoff ghost\n"
+        "submit r1 b reveal ghost b prio=1\n"
+        "complete s1\n"
+    )
+    with pytest.raises(ScenarioRuntimeError) as err:
+        _run_text(text)
+    assert str(err.value) == "line 6 (submit): no detail 'ghost'"
+
+
+def test_resubmitted_id_is_rejected_at_its_line():
+    text = PREAMBLE + "submit c1 alpha post wall true v\nsubmit c1 beta post wall true w\n"
+    with pytest.raises(ScenarioRuntimeError) as err:
+        _run_text(text)
+    assert str(err.value) == "line 8 (submit): commitment id 'c1' already used"
+    assert (err.value.line, err.value.command) == (8, "submit")
 
 
 def test_post_with_explicit_priority_may_create_detail():

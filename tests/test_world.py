@@ -20,6 +20,8 @@ from commitsched.errors import (
     UnknownNetwork,
 )
 from commitsched.model import Privacy, Responsibility
+from commitsched.scenario import parse
+from commitsched.simulator import run
 from commitsched.world import (
     Assignment,
     AssignmentStatus,
@@ -31,23 +33,7 @@ from commitsched.world import (
     exec_reveal,
     exec_signoff,
     exec_tamper_guard,
-    valid,
 )
-
-
-# -- valid -----------------------------------------------------------------
-
-def test_valid_membership(small_world):
-    assert valid(small_world, "fb", "analytics") is True
-
-
-def test_valid_rejects_unregistered_purpose(small_world):
-    assert valid(small_world, "fb", "spam") is False
-
-
-def test_valid_unknown_network(small_world):
-    with pytest.raises(UnknownNetwork):
-        valid(small_world, "nowhere", "analytics")
 
 
 # -- collect ----------------------------------------------------------------
@@ -62,6 +48,19 @@ def test_collect_appends_record(small_world):
 def test_collect_invalid_purpose(small_world):
     result = exec_collect(small_world, "svcB", "email", "spam", t=0)
     assert result == Violation(Responsibility.RESP1, "invalid-purpose")
+
+
+def test_collect_purpose_of_another_network_is_invalid(small_world):
+    # "ads" is registered, but for tw; the detail lives in fb.
+    w = small_world
+    w.with_network("tw")
+    w.with_purpose("tw", "ads")
+    w.with_member("svcB", "tw")
+    before = _snapshot(w)
+    assert exec_collect(w, "svcB", "email", "ads", t=0) == Violation(
+        Responsibility.RESP1, "invalid-purpose"
+    )
+    assert _snapshot(w) == before
 
 
 def test_collect_nonmember(small_world):
@@ -179,6 +178,15 @@ def test_signoff_blocked_by_ongoing(small_world):
     assert w.has_any_membership("svcB")
 
 
+def test_signoff_names_its_networks_in_sorted_order():
+    # Signed up out of sorted order; the store keeps each member's networks
+    # in a set, so only the sort makes the line independent of the hash seed.
+    names = ["n5", "n2", "n7", "n0", "n6", "n3", "n1", "n4"]
+    text = "".join(f"network {n}\nsignup svc {n} accept\n" for n in names)
+    lines = run(parse(text + "submit s1 svc signoff svc\n")).trace.lines()
+    assert f"t=0 SignedOff svc network={','.join(sorted(names))}" in lines
+
+
 def test_signoff_unknown_service(small_world):
     # A breach, as a post by a non-member is.
     assert exec_signoff(small_world, "outsider") == Violation(
@@ -265,6 +273,13 @@ def test_status_lifecycle(small_world):
     assert w.ongoing_assignments("svcB") == ()
 
 
+def test_assignment_added_complete_does_not_block_signoff(small_world):
+    w = small_world
+    w.with_assignment(Assignment("a1", "svcB", AssignmentStatus.COMPLETE))
+    assert w.ongoing_assignments("svcB") == ()
+    assert exec_signoff(w, "svcB") == ("fb",)
+
+
 def test_status_unknown(small_world):
     with pytest.raises(UnknownAssignment):
         small_world.assignment("ghost").status
@@ -279,6 +294,13 @@ def test_finish_twice_rejected(small_world):
 
 
 # -- construction invariants -----------------------------------------------------------
+
+def test_negative_ttl_rejected(small_world):
+    small_world.with_ttl(7)
+    with pytest.raises(ValueError, match="reveal ttl must be >= 0"):
+        small_world.with_ttl(-1)
+    assert small_world.reveal_ttl == 7
+
 
 def test_duplicate_detail_rejected(small_world):
     with pytest.raises(DuplicateDetail):
