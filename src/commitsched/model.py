@@ -10,13 +10,13 @@ and the two derivations every commitment carries:
                    and 0 otherwise (private outranks public).
 
 Every value type subclasses ``Frozen``, which makes it immutable and
-compares, hashes and prints it by its annotated fields. Each value type
-but ``Commitment`` is built by its constructor, a plain ``__init__``
-that sets each field. ``new_commitment`` is the one builder of a
-commitment: it validates its arguments, derives the access class and
-priority, and fills a fresh instance dictionary in one step.
-Calling ``Commitment`` raises, so no caller can give a commitment an
-access class or a priority that contradicts its verb.
+compares, hashes and prints it by its annotated fields; its docstring
+states the one fill rule that builds every value. Each value type's
+``__new__`` runs its checks and then that fill, except ``Commitment``'s:
+calling the class raises, and ``new_commitment`` is the one builder of a
+commitment. It validates its arguments and derives the access class and
+priority, so no caller can give a commitment an access class or a
+priority that contradicts its verb.
 A commitment carries no lifecycle state: ``LifecycleState`` only names
 the states, and the scheduler keeps them as where each id lives
 (active, queued, or tallied under its final state). So a commitment is
@@ -112,24 +112,60 @@ _REVEAL = Verb.REVEAL
 _PRIVATE = Privacy.PRIVATE
 
 
-class Frozen:
+class _ValueType(type):
+    """Metaclass of ``Frozen``: puts each value type's fields in slots.
+
+    The fields are the annotations of the class body, in order. They
+    become the ``__slots__`` of a plain class, ``cls._Fields``, which the
+    value type subclasses with ``__slots__ = ()``: the two share one
+    memory layout, and a value keeps no instance dictionary.
+    """
+
+    def __new__(mcls, name, bases, ns):
+        ns["__slots__"] = ()
+        if bases:  # a value type, not ``Frozen`` itself
+            ns["_fields"] = fields = tuple(ns["__annotations__"])
+            ns["_Fields"] = slotted = type(f"{name}Fields", (), {"__slots__": fields})
+            bases = (*bases, slotted)
+            get = attrgetter(*fields)
+            # ``attrgetter`` of one name returns the value itself, not a 1-tuple.
+            ns["_astuple"] = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Frozen(metaclass=_ValueType):
     """Base of the immutable value types; the fields are the class annotations.
 
     ``_fields`` names them in declaration order and ``_astuple(obj)``
     gives their values. Equality holds only between instances of one
     class, the hash is that of the value tuple, and ``repr`` reads
     ``Name(field=value, ...)``: all three as a frozen dataclass makes
-    them. Setting or deleting an attribute raises ``AttributeError``, so
-    a subclass ``__init__`` sets each field with ``object.__setattr__``.
-    ``Commitment.__init__`` only raises: ``new_commitment`` is its one
-    builder, and fills the instance dictionary itself.
+    them. Setting or deleting an attribute raises ``AttributeError``.
+
+    Every value is filled by one rule: make a blank ``cls._Fields()``,
+    set each field with a plain attribute store, then assign
+    ``__class__ = cls``. The stores go to the plain class because
+    ``Frozen.__setattr__`` raises; reassigning the class makes the
+    filled value immutable, and CPython allows it because the two
+    classes share their layout. Plain stores into slots are the cheapest
+    fill, about a third of the cost of ``object.__setattr__`` per field.
+    ``_make`` runs the rule over given field values, without a builder's
+    checks: the rarely built types, ``__reduce__`` (so values copy and
+    pickle) and tests use it, and the per-commitment builders
+    (``ContentAction``, ``new_commitment``, ``Decision``, ``Detail``)
+    write the stores out.
     """
 
-    def __init_subclass__(cls):
-        cls._fields = fields = tuple(cls.__annotations__)
-        get = attrgetter(*fields)
-        # ``attrgetter`` of one name returns the value itself, not a 1-tuple.
-        cls._astuple = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+    @classmethod
+    def _make(cls, values):
+        self = cls._Fields()
+        for name, value in zip(cls._fields, values, strict=True):
+            setattr(self, name, value)
+        self.__class__ = cls
+        return self
+
+    def __reduce__(self):
+        return self._make, (self._astuple(self),)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -167,8 +203,8 @@ class ContentAction(Frozen):
     requester: str | None
     payload: str | None
 
-    def __init__(self, verb, target, owner=None, purpose=None, veracity=None, requester=None,
-                 payload=None):
+    def __new__(cls, verb, target, owner=None, purpose=None, veracity=None, requester=None,
+                payload=None):
         if not target:
             raise InvalidContent("content target must be non-empty")
         if verb is _COLLECT and (owner is None or purpose is None):
@@ -177,14 +213,16 @@ class ContentAction(Frozen):
             raise InvalidContent("post requires a veracity flag")
         if verb is _REVEAL and requester is None:
             raise InvalidContent("reveal requires a requester")
-        put = object.__setattr__
-        put(self, "verb", verb)
-        put(self, "target", target)
-        put(self, "owner", owner)
-        put(self, "purpose", purpose)
-        put(self, "veracity", veracity)
-        put(self, "requester", requester)
-        put(self, "payload", payload)
+        self = cls._Fields()
+        self.verb = verb
+        self.target = target
+        self.owner = owner
+        self.purpose = purpose
+        self.veracity = veracity
+        self.requester = requester
+        self.payload = payload
+        self.__class__ = cls
+        return self
 
 
 class Commitment(Frozen):
@@ -208,8 +246,11 @@ class Commitment(Frozen):
     arrival: int
     target_owner: str | None
 
-    def __init__(self, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):
         raise TypeError("Commitment has no constructor: build one with new_commitment")
+
+
+_CommitmentFields = Commitment._Fields
 
 
 def derive_priority(
@@ -265,17 +306,16 @@ def new_commitment(
         raise InvalidContent(
             f"sign-off target must be the debtor ({debtor!r}), got {content.target!r}"
         )
-    c = object.__new__(Commitment)
-    c.__dict__.update({
-        "id": cid,
-        "kind": kind,
-        "responsibility": responsibility,
-        "debtor": debtor,
-        "creditor": creditor,
-        "content": content,
-        "access": ACCESS_FOR_VERB[content.verb],
-        "priority": derive_priority(content, explicit_priority, privacy),
-        "arrival": clock,
-        "target_owner": target_owner,
-    })
+    c = _CommitmentFields()
+    c.id = cid
+    c.kind = kind
+    c.responsibility = responsibility
+    c.debtor = debtor
+    c.creditor = creditor
+    c.content = content
+    c.access = ACCESS_FOR_VERB[content.verb]
+    c.priority = derive_priority(content, explicit_priority, privacy)
+    c.arrival = clock
+    c.target_owner = target_owner
+    c.__class__ = Commitment
     return c

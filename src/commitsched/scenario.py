@@ -70,9 +70,8 @@ class Scenario(Frozen):
     commands: tuple[Command, ...]
     source: str
 
-    def __init__(self, commands, source="<string>"):
-        object.__setattr__(self, "commands", commands)
-        object.__setattr__(self, "source", source)
+    def __new__(cls, commands, source="<string>"):
+        return cls._make((commands, source))
 
 
 class _Rejected(Exception):

@@ -33,7 +33,10 @@ buckets by content target, by target owner and, for sign-offs, by debtor.
 A query returns, in sequence order, exactly the indexed commitments that
 share a scope with the asker and conflict with its access mode; the
 ``same_scope`` re-check in ``submit`` and ``_retire`` never rejects one
-(ROADMAP item 2). The mode decides which buckets are read:
+(ROADMAP item 14). It stays while
+``bench/test_bench.py::test_traced_run_adds_up_and_restores_entry_points``
+asserts ``relations.scope_checks_per_commitment > 0``. The mode decides
+which buckets are read:
 
   - Sign-offs are writers, so every commitment in an owner or sign-off
     bucket of the asker's scopes conflicts with it.
@@ -96,13 +99,16 @@ class Decision(Frozen):
     kind: DecisionKind
     blockers: tuple[str, ...]
 
-    def __init__(self, kind, blockers=()):
+    def __new__(cls, kind, blockers=()):
         if kind is _WAIT and not blockers:
             raise ValueError("a wait decision must name its blockers")
         if kind is _RUN and blockers:
             raise ValueError("an execute decision has no blockers")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "blockers", blockers)
+        self = cls._Fields()
+        self.kind = kind
+        self.blockers = blockers
+        self.__class__ = cls
+        return self
 
 
 _EXECUTE = Decision(_RUN)

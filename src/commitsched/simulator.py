@@ -77,11 +77,8 @@ class RunResult(Frozen):
     world: WorldState
     scheduler: Scheduler
 
-    def __init__(self, trace, world, scheduler):
-        put = object.__setattr__
-        put(self, "trace", trace)
-        put(self, "world", world)
-        put(self, "scheduler", scheduler)
+    def __new__(cls, trace, world, scheduler):
+        return cls._make((trace, world, scheduler))
 
 
 class _Sim:

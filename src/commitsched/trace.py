@@ -71,11 +71,8 @@ class Trace(Frozen):
     final_clock: int
     ok: bool
 
-    def __init__(self, event_lines, final_clock, ok):
-        put = object.__setattr__
-        put(self, "event_lines", event_lines)
-        put(self, "final_clock", final_clock)
-        put(self, "ok", ok)
+    def __new__(cls, event_lines, final_clock, ok):
+        return cls._make((event_lines, final_clock, ok))
 
     @property
     def events(self) -> tuple[ScheduleEvent, ...]:

@@ -76,13 +76,15 @@ class Detail(Frozen):
     privacy: Privacy
     value: str
 
-    def __init__(self, key, owner, network, privacy, value):
-        put = object.__setattr__
-        put(self, "key", key)
-        put(self, "owner", owner)
-        put(self, "network", network)
-        put(self, "privacy", privacy)
-        put(self, "value", value)
+    def __new__(cls, key, owner, network, privacy, value):
+        self = cls._Fields()
+        self.key = key
+        self.owner = owner
+        self.network = network
+        self.privacy = privacy
+        self.value = value
+        self.__class__ = cls
+        return self
 
 
 class Assignment(Frozen):
@@ -92,11 +94,8 @@ class Assignment(Frozen):
     service: str
     status: AssignmentStatus
 
-    def __init__(self, id, service, status=AssignmentStatus.ONGOING):
-        put = object.__setattr__
-        put(self, "id", id)
-        put(self, "service", service)
-        put(self, "status", status)
+    def __new__(cls, id, service, status=AssignmentStatus.ONGOING):
+        return cls._make((id, service, status))
 
 
 class Violation(Frozen):
@@ -106,11 +105,8 @@ class Violation(Frozen):
     reason: str
     items: tuple[str, ...]
 
-    def __init__(self, responsibility, reason, items=()):
-        put = object.__setattr__
-        put(self, "responsibility", responsibility)
-        put(self, "reason", reason)
-        put(self, "items", items)
+    def __new__(cls, responsibility, reason, items=()):
+        return cls._make((responsibility, reason, items))
 
 
 class WorldState:

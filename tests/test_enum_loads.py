@@ -27,12 +27,12 @@ PER_CALL = (
     scheduler._WaitIndex.add,
     scheduler._WaitIndex.remove,
     scheduler._WaitIndex.conflicting,
-    scheduler.Decision.__init__,
+    scheduler.Decision.__new__,
     scheduler.Scheduler.submit,
     scheduler.Scheduler.on_complete,
     scheduler.Scheduler.on_violation,
     scheduler.Scheduler._retire,
-    model.ContentAction.__init__,
+    model.ContentAction.__new__,
     model.new_commitment,
     model.derive_priority,
     simulator._Sim._do_submit,
@@ -40,7 +40,7 @@ PER_CALL = (
     simulator._Sim._process_activations,
     simulator._Sim._execute,
     scenario._parse_submit,
-    world.Detail.__init__,
+    world.Detail.__new__,
     world.exec_collect,
     world.exec_post,
     world.exec_tamper_guard,

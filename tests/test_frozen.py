@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -85,11 +87,15 @@ EXAMPLES[RunResult] = (
 def _replaced(value, cls=None, /, **changes):
     """Copy of ``value`` as a ``cls`` (default: its own class) with ``changes`` applied.
 
-    Built without ``__init__``, so a field may hold any value.
+    Built by ``_make``, without the builder's checks, so a field may hold any value.
     """
-    obj = object.__new__(cls or value.__class__)
-    obj.__dict__.update({**vars(value), **changes})
-    return obj
+    fields = dict(zip(value._fields, astuple(value)))
+    return (cls or value.__class__)._make({**fields, **changes}.values())
+
+
+def _slots(cls) -> list[str]:
+    """Every slot a ``cls`` instance has, from the root class down."""
+    return [name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())]
 
 
 value_classes = pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
@@ -110,7 +116,9 @@ def test_repr_is_the_dataclass_text(cls):
 def test_fields_are_the_annotations_in_order(cls):
     value = EXAMPLES[cls][0]()
     assert cls._fields == tuple(cls.__annotations__)
-    assert list(vars(value)) == list(cls._fields)
+    # A value stores its fields, in field order, and nothing else.
+    assert _slots(cls) == list(cls._fields)
+    assert not hasattr(value, "__dict__") and not hasattr(value, "__weakref__")
     assert cls._astuple(value) == astuple(value)
 
 
@@ -127,7 +135,7 @@ def test_equal_only_within_one_class(cls):
     assert value != astuple(value)
     lookalike_cls = type(cls.__name__, (Frozen,), {"__annotations__": dict.fromkeys(cls._fields)})
     lookalike = _replaced(value, lookalike_cls)
-    assert repr(lookalike) == repr(value)
+    assert astuple(lookalike) == astuple(value) and repr(lookalike) == repr(value)
     assert value != lookalike and lookalike != value
 
 
@@ -148,13 +156,32 @@ def test_hash_is_the_hash_of_the_field_tuple(cls):
 @value_classes
 def test_fields_can_be_neither_set_nor_deleted(cls):
     value = EXAMPLES[cls][0]()
-    before = vars(value).copy()
+    before = astuple(value)
     for name in (*cls._fields, "unknown"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert vars(value) == before
+    assert all(a is b for a, b in zip(astuple(value), before, strict=True))
+    assert not hasattr(value, "unknown")
+
+
+@value_classes
+def test_values_copy_and_pickle_by_their_fields(cls):
+    value = EXAMPLES[cls][0]()
+    if cls is RunResult:  # its scheduler holds a mapping proxy, which cannot be pickled
+        with pytest.raises(TypeError):
+            pickle.dumps(astuple(value))
+        pytest.skip("a RunResult field cannot be pickled")
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        copies.append(pickle.loads(pickle.dumps(value, protocol)))
+    for again in copies:
+        assert again is not value and type(again) is cls
+        assert again == value and repr(again) == repr(value)
+        assert not hasattr(again, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(again, cls._fields[0], None)
 
 
 def test_commitment_has_no_constructor():
@@ -163,7 +190,7 @@ def test_commitment_has_no_constructor():
     with pytest.raises(TypeError):
         Commitment(*astuple(make()))
     with pytest.raises(TypeError):
-        Commitment(**vars(make()))
+        Commitment(**dict(zip(Commitment._fields, astuple(make()))))
     with pytest.raises(TypeError, match="new_commitment"):
         Commitment()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,10 +18,12 @@ from commitsched.model import (
     LifecycleState,
     Privacy,
     RESPONSIBILITY_FOR_VERB,
+    Responsibility,
     Verb,
     new_commitment,
 )
 from commitsched.scenario import parse
+from commitsched.scheduler import Decision, DecisionKind
 from commitsched.simulator import run
 from commitsched.trace import EventKind, ScheduleEvent, parse_event
 from commitsched.world import Assignment, AssignmentStatus, Detail, WorldState, exec_post
@@ -37,9 +40,9 @@ def _assert_indistinguishable(built, constructed) -> None:
     assert hash(built) == hash(constructed)
     assert repr(built) == repr(constructed)
     assert astuple(built) == astuple(constructed)
-    # Compare the instance dictionaries themselves: a stray entry would
-    # not show in the field values.
-    assert vars(built) == vars(constructed)
+    # Neither has an instance dictionary, where a stray entry would not
+    # show in the field values.
+    assert not hasattr(built, "__dict__") and not hasattr(constructed, "__dict__")
     first = type(built)._fields[0]
     with pytest.raises(AttributeError):
         setattr(built, first, None)
@@ -102,9 +105,9 @@ def test_new_commitment_derives_access_and_priority(args):
         priority = 10
     else:
         priority = 0
-    assert type(built) is Commitment
-    # The instance dictionary holds every field, in field order, and nothing else.
-    assert list(vars(built).items()) == [
+    assert type(built) is Commitment and not hasattr(built, "__dict__")
+    # The value holds every field, in field order, and nothing else.
+    assert list(zip(Commitment._fields, astuple(built))) == [
         ("id", args["cid"]),
         ("kind", args["kind"]),
         ("responsibility", RESPONSIBILITY_FOR_VERB[content.verb]),
@@ -116,6 +119,38 @@ def test_new_commitment_derives_access_and_priority(args):
         ("arrival", args["clock"]),
         ("target_owner", args["target_owner"]),
     ]
+
+
+# tracemalloc bytes per kept commitment, its content included, ids and
+# targets not: 200 on CPython 3.10-3.13 with slotted values, against
+# 352-600 when each value had an instance dictionary.
+BYTES_PER_COMMITMENT = 256
+
+
+def test_per_commitment_values_hold_no_instance_dictionary():
+    n = 10_000
+    ids = [f"c{i}" for i in range(n)]
+    targets = [f"d{i}" for i in range(n)]
+    kept = [None] * n
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            content = ContentAction(Verb.COLLECT, targets[i], owner="o", purpose="p")
+            kept[i] = new_commitment(ids[i], CommitmentKind.SOCIAL, Responsibility.RESP1,
+                                     "svcA", "fb", content)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert grown / n < BYTES_PER_COMMITMENT
+    # Every value built per commitment: a wait decision on each waiting
+    # submit, a detail on each post.
+    wait = Decision(DecisionKind.WAIT, ("c0",))
+    detail = Detail("d0", "svcA", "fb", Privacy.PUBLIC, "v")
+    for value in (kept[0], kept[0].content, wait, detail):
+        assert not hasattr(value, "__dict__")
 
 
 attrs = st.lists(st.tuples(names, tokens), max_size=4).map(tuple)
@@ -223,8 +258,9 @@ def content_args(draw) -> dict:
 @given(args=content_args())
 def test_constructor_accepts_valid_content(args):
     value = ContentAction(**args)
-    # The instance dictionary holds every field, in field order, and nothing else.
-    assert list(vars(value).items()) == list(args.items())
+    # The value holds every field, in field order, and nothing else.
+    assert not hasattr(value, "__dict__")
+    assert list(zip(ContentAction._fields, astuple(value))) == list(args.items())
     # The simulator passes the fields by position, in field order.
     _assert_indistinguishable(ContentAction(*args.values()), value)
 
