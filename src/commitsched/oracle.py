@@ -1,7 +1,7 @@
 """The readers-writers specification, stated as predicates over states.
 
 Deliberately independent of the scheduler: it imports only ``model``,
-nothing of ``scheduler`` or ``relations``, and nothing here schedules.
+nothing of ``scheduler``, and nothing here schedules.
 It judges the engine's own ``Commitment`` values, of which ``_contend``
 reads the access class, the content target and verb, the debtor and the
 target owner, and restates the conflict rule from scratch.

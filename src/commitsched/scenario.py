@@ -26,10 +26,12 @@ Verb-specific submit arguments:
     signoff <service>            (must equal the submitting service)
     reveal  <detail> <requester>
 
-Parsing validates verbs, arity and enum words up front; anything else
-(unknown networks, duplicate ids, ...) surfaces at run time. A line is
-read as plain words. A rejection blames one word by its index, and the
-column of that word is computed only then, for the rejected line alone.
+Parsing validates verbs, arity and enum words up front, and refuses the
+trace's list marks (``,`` and an empty queue's ``-``) in the names a
+trace lists; anything else (unknown networks, duplicate ids, ...)
+surfaces at run time. A line is read as plain words. A rejection blames
+one word by its index, and the column of that word is computed only
+then, for the rejected line alone.
 
 Each command parses once to ``Command(verb, line, args)``: ``args`` is a
 tuple in the order of the parameters of the simulator's handler for the
@@ -118,6 +120,13 @@ def _one_of(table: dict[str, Any], what: str) -> Callable[[str], Any]:
     return _OneOf(table, what).__getitem__
 
 
+def _list_item(word: str, what: str) -> str:
+    """``word``, a name the trace may print in a ``,``-joined list."""
+    if "," in word:
+        raise ValueError(f"bad {what} {word!r} (a trace lists them joined by ',')")
+    return word
+
+
 _BOOLS = {"true": True, "false": False}
 _VERB = _one_of({v.value: v for v in Verb}, "action verb")
 _SIGNOFF = Verb.SIGNOFF
@@ -128,11 +137,11 @@ _FINISHES = {s.value: s for s in (AssignmentStatus.COMPLETE, AssignmentStatus.FA
 _Spec = tuple[Callable[[str], Any], ...]
 _FIXED: dict[str, _Spec] = {
     "policy": (_one_of({p.value: p for p in Policy}, "policy"),),
-    "network": (str,),
+    "network": (partial(_list_item, what="network name"),),
     "purpose": (str, str),
     "signup": (str, str, _one_of({"accept": True, "reject": False}, "decision")),
     "assign": (str, _one_of({r.value: r for r in Responsibility}, "responsibility")),
-    "assignment": (str, str),
+    "assignment": (partial(_list_item, what="assignment id"), str),
     "finish-assignment": (str, _one_of(_FINISHES, "status")),
     "detail": (str, str, str, _one_of({p.value: p for p in Privacy}, "privacy"), str),
     "ttl": (partial(_int, what="ttl"),),
@@ -206,7 +215,10 @@ def _parse_tick(words: list[str]) -> tuple[int]:
 def _parse_submit(words: list[str]) -> tuple[Any, ...]:
     if len(words) < 5:
         raise _Rejected(0, "submit takes <cid> <service> <verb> <target> [arg...]")
-    service, target = words[2], words[4]
+    cid, service, target = words[1], words[2], words[4]
+    if "," in cid or cid == "-":
+        raise _Rejected(1, f"bad commitment id {cid!r} (a trace lists them joined by ','"
+                           " and an empty queue as '-')")
     try:  # _arg inlined: this lookup runs once per submit
         verb = _VERB(words[3])
     except ValueError as err:
@@ -232,7 +244,7 @@ def _parse_submit(words: list[str]) -> tuple[Any, ...]:
         raise _Rejected(
             0, f"{words[3]} takes {span} argument(s) after target, got {len(positional)}"
         )
-    args = [words[1], service, verb, target, priority, guard, None, None, None, None, None]
+    args = [cid, service, verb, target, priority, guard, None, None, None, None, None]
     for i, (slot, convert) in zip(positional, slots):
         args[slot] = words[i] if convert is str else _arg(words, i, convert)
     # Also checked by model.new_commitment, which guards library callers;

@@ -1,5 +1,13 @@
 """Admission control for commitments.
 
+Two commitments contend only when they share a scope: the same content
+target, or a sign-off by the service that owns the other's target detail
+(leaving an account contends with everything still touching it). Within
+a scope the paper's relation partitions the pairs into friend (both
+readers), family (both writers) and strange (mixed); only friends may
+run concurrently. The scheduler applies the relation through the access
+classes and the scope through the index described below.
+
 Design rules:
   - A submitted commitment executes immediately only if it conflicts with
     no active and no already-queued same-scope commitment. At submit, a
@@ -23,7 +31,8 @@ Design rules:
     become active, and only an active id retires, once, into the
     per-service tally under its final state (Completed or Failed by
     ``on_complete``, Violated by ``on_violation``). Retiring any other
-    id raises ``UnknownId``; resubmitting any id raises ``DuplicateId``.
+    id raises ``UnknownId``; ``_seq`` keeps every submitted id, so
+    resubmitting any id raises ``DuplicateId``.
     Commitments are immutable values that carry no state, so it stores,
     indexes and returns the caller's own objects and never copies one.
 
@@ -31,10 +40,10 @@ Active and queued commitments are each kept in a scope index, a lock
 table hashed by resource (Gray & Reuter, *Transaction Processing*, ch. 8):
 buckets by content target, by target owner and, for sign-offs, by debtor.
 A query returns, in sequence order, exactly the indexed commitments that
-share a scope with the asker and conflict with its access mode; the
+share a scope with the asker and conflict with its access mode, so the
 ``same_scope`` re-check in ``submit`` and ``_retire`` never rejects one
-(ROADMAP item 14). It stays while
-``bench/test_bench.py::test_traced_run_adds_up_and_restores_entry_points``
+(ROADMAP item 14). The three calls stay only because ``bench/tracer``
+counts them and ``bench/test_bench.py::test_traced_run_adds_up_and_restores_entry_points``
 asserts ``relations.scope_checks_per_commitment > 0``. The mode decides
 which buckets are read:
 
@@ -67,7 +76,6 @@ from typing import Mapping
 
 from .errors import DuplicateId, NonEmptyQueue, UnknownId
 from .model import AccessClass, Commitment, Frozen, LifecycleState, Verb
-from .relations import same_scope
 
 
 class Policy(Enum):
@@ -112,6 +120,15 @@ class Decision(Frozen):
 
 
 _EXECUTE = Decision(_RUN)
+
+
+def same_scope(a: Commitment, b: Commitment) -> bool:
+    """True when the two commitments touch the same resource."""
+    return (
+        a.content.target == b.content.target
+        or (a.content.verb is _SIGNOFF and b.target_owner == a.debtor)
+        or (b.content.verb is _SIGNOFF and a.target_owner == b.debtor)
+    )
 
 
 def _drop(buckets: dict[str, dict[int, Commitment]], key: str, seq: int) -> None:
@@ -229,10 +246,9 @@ class Scheduler:
         self._active: dict[str, Commitment] = {}   # id -> commitment, activation order
         self._active_view = MappingProxyType(self._active)
         self._queue: dict[str, Commitment] = {}    # id -> commitment, queue order
-        self._seen: set[str] = set()
         self._tally: dict[str, dict[LifecycleState, int]] = {}  # terminal outcomes
         self._next_seq = 0
-        self._seq: dict[str, int] = {}             # active or queued id -> its seq
+        self._seq: dict[str, int] = {}             # submitted id -> its latest seq
         self._held = _HeldIndex()                 # active commitments
         self._waiting = _WaitIndex()              # queued commitments
         self._ready: set[str] = set()              # queued ids nothing active blocks
@@ -253,9 +269,8 @@ class Scheduler:
         ones first (in activation order) then queued ones (in queue
         order).
         """
-        if c.id in self._seen:
+        if c.id in self._seq:
             raise DuplicateId(f"commitment id {c.id!r} already submitted")
-        self._seen.add(c.id)
         held = [x.id for x in self._held.conflicting(c) if same_scope(c, x)]
         waiting = (
             [x.id for x in self._waiting.conflicting(c) if same_scope(c, x)]
@@ -318,7 +333,7 @@ class Scheduler:
         if cid not in self._active:
             raise UnknownId(f"no active commitment {cid!r}")
         retired = self._active.pop(cid)
-        self._held.remove(self._seq.pop(cid), retired)
+        self._held.remove(self._seq[cid], retired)
         per_service = self._tally.setdefault(retired.debtor, {})
         per_service[final] = per_service.get(final, 0) + 1
         if not self._queue:
@@ -349,7 +364,7 @@ class Scheduler:
             if blocks(chosen):
                 continue  # an earlier activation in this pass blocks it again
             del queue[qid]
-            self._waiting.remove(seqs.pop(qid), chosen)
+            self._waiting.remove(seqs[qid], chosen)
             self._activate(chosen)
             activated.append(chosen)
         return activated

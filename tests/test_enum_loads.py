@@ -28,6 +28,7 @@ PER_CALL = (
     scheduler._WaitIndex.remove,
     scheduler._WaitIndex.conflicting,
     scheduler.Decision.__new__,
+    scheduler.same_scope,
     scheduler.Scheduler.submit,
     scheduler.Scheduler.on_complete,
     scheduler.Scheduler.on_violation,

@@ -322,6 +322,16 @@ OWNER_MUTATIONS = {
     "owner-bucket-skipped", "blocks-ignores-signoffs", "blocks-ignores-owner-bucket",
     "retire-skips-owner-scope",
 }
+# A scope index that returns more than the conflicting commitments: every
+# caller's ``same_scope`` filter hides it from the decisions, so the grid cannot
+# see it, and only the random runs' checks of the index itself must fail.
+INDEX_MUTATIONS = {
+    "wait-index-adds-own-signoffs": (
+        "        found = by_mode.get(c.content.target)\n",
+        "        found = {**by_mode.get(c.content.target, {}), **self.signoffs.get(c.debtor, {})}\n"
+        "        found = {seq: found[seq] for seq in sorted(found)}\n",
+    ),
+}
 
 
 _SHARED_TYPES = (scheduler.Policy, scheduler.DecisionKind, scheduler.Decision)
@@ -332,7 +342,7 @@ def _mutant(name=None):
     path = Path(scheduler.__file__)
     source = path.read_text(encoding="utf-8")
     if name is not None:
-        old, new = MUTATIONS[name]
+        old, new = {**MUTATIONS, **INDEX_MUTATIONS}[name]
         assert source.count(old) == 1, f"{name}: the mutated text is not in scheduler.py once"
         source = source.replace(old, new)
     namespace = {"__name__": "scheduler_mutant", "__package__": "commitsched"}
@@ -386,8 +396,11 @@ def _random_run(engine, policy: Policy, data) -> None:
     the predicates do not read: the engine holds and returns the caller's
     own objects; retiring an inactive id raises ``UnknownId`` and changes
     nothing; ``snapshot()`` equals a count, kept here, of each id's last
-    outcome; and ``_held.blocks`` of each waiter agrees with
-    ``_held.conflicting`` and with ``oracle._contend`` over the active set.
+    outcome; for each waiter, ``_held.conflicting`` and
+    ``_waiting.conflicting`` return, in order, exactly the active and the
+    other queued commitments ``oracle._contend`` accepts (the scope index
+    alone, before any ``same_scope`` filter); and ``_held.blocks`` is true
+    exactly when the first of them returns anything.
     """
     s = engine(policy)
     made = {}  # id -> the submitted commitment
@@ -433,10 +446,13 @@ def _random_run(engine, policy: Policy, data) -> None:
         assert counts == {
             (svc, outcome): n for svc, per in s.snapshot().items() for outcome, n in per.items()
         }
-        for q in s.queue:
-            blocked = s._held.blocks(q)
-            assert blocked == bool(list(s._held.conflicting(q)))
-            assert blocked == any(_contend(q, a) for a in state[0])
+        active, queued = state
+        for q in queued:
+            held = [a.id for a in s._held.conflicting(q)]
+            assert held == [a.id for a in active if _contend(q, a)]
+            assert s._held.blocks(q) == bool(held)
+            waiting = [x.id for x in s._waiting.conflicting(q) if x is not q]
+            assert waiting == [x.id for x in queued if x is not q and _contend(q, x)]
 
 
 @settings(max_examples=200, deadline=None, report_multiple_bugs=False)
@@ -475,7 +491,7 @@ def _raised_by_the_run(exc: BaseException) -> bool:
     )
 
 
-@pytest.mark.parametrize("name", list(MUTATIONS))
+@pytest.mark.parametrize("name", [*MUTATIONS, *INDEX_MUTATIONS])
 def test_random_runs_catch_a_scheduler_mutation(name):
     engine = _mutant(name)  # outside the check: a stale row fails here
     with pytest.raises((Exception, pytest.fail.Exception)) as caught:

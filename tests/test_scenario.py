@@ -83,6 +83,13 @@ def test_detail_shape():
     assert cmd.args == ("email", "svcA", "fb", Privacy.PRIVATE, "addr0")
 
 
+def test_only_a_lone_dash_is_refused_as_an_id():
+    # The trace's empty-queue mark is the word '-', not the character.
+    assert parse("submit c-1 svcA post wall true").commands[0].args[0] == "c-1"
+    assert parse("network -").commands[0].args == ("-",)
+    assert parse("assignment - svcA").commands[0].args == ("-", "svcA")
+
+
 # -- parsed arguments match the handlers ---------------------------------------------
 # ``_Sim.step`` calls ``handler(self, *cmd.args)``: the parser and the
 # handlers agree only by position, so each position is checked by name.
@@ -199,6 +206,14 @@ DIAGNOSTICS = [
     ("network fb\n\n  tick   0\n", 3, 10, "tick count must be >= 1, got 0"),
     ("# heading\npolicy fcfs # fine\nttl 3#4 5\nttl x\n", 4, 5,
      "bad ttl 'x' (expected integer)"),
+    ("submit w,1 svcA post wall true", 1, 8,
+     "bad commitment id 'w,1' (a trace lists them joined by ',' and an empty queue as '-')"),
+    ("submit , svcA post wall true", 1, 8,
+     "bad commitment id ',' (a trace lists them joined by ',' and an empty queue as '-')"),
+    ("submit - svcA collect email svcB analytics", 1, 8,
+     "bad commitment id '-' (a trace lists them joined by ',' and an empty queue as '-')"),
+    ("network fb,li", 1, 9, "bad network name 'fb,li' (a trace lists them joined by ',')"),
+    ("assignment a,1 svcA", 1, 12, "bad assignment id 'a,1' (a trace lists them joined by ',')"),
 ]
 
 
